@@ -34,7 +34,7 @@ from boxmode.landau import _axis, _centered_axis
 
 def ridge_grid(spec, p_x):
     length = spec.magnetic_length
-    y_guide = -spec.light_speed * p_x / (spec.charge * spec.B)
+    y_guide = spec.guiding_line(p_x)
     return (
         _axis(0.0, 4.0 * length, length / 8.0),
         y_guide + _centered_axis(8.0 * length, length / 8.0),

@@ -45,7 +45,7 @@ from .momentum_discrete import (
     expand,
     matched_phase,
 )
-from .release import AliasingError, evolve_free, farfield_box, farfield_map, grid_kinetic_energy
+from .release import AliasingError, evolve_free, farfield_map, grid_kinetic_energy
 from .report import CheckResult, all_passed, check, write_csv
 from .well import Eigenfunction, WellSpec
 
@@ -367,17 +367,12 @@ def cmd_release_farfield(args, rc: RunConfig) -> int:
     probe = args.probe_max
     if probe is None:
         probe = 6.0 * spec.spike_momentum(args.n)
-    box = farfield_box(spec, args.n, args.t, probe_max=probe)
-    snapshot = evolve_free(spec, args.n, args.t, box=box)
-    curve = farfield_map(snapshot, spec)
-    window = np.abs(curve.p) <= probe
-    p_window = curve.p[window]
-    density_window = curve.density[window]
-    deviation = float(
-        np.abs(density_window - analytic_density(spec, args.n, p_window)).max()
-    )
-    stride = max(1, p_window.size // 2001)
-    rows = list(zip(p_window[::stride], density_window[::stride]))
+    if not probe > 0:
+        raise ConfigError(f"--probe-max must be positive, got {probe}")
+    p = np.linspace(-probe, probe, 2001)
+    density = farfield_map(spec, args.n, args.t, p)
+    deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
+    rows = list(zip(p, density))
     checks = [check("farfield-deviation", deviation, 1e-3)]
     return _emit(
         rc,
@@ -403,7 +398,7 @@ def cmd_landau_state(args, rc: RunConfig) -> int:
         if p_x is None:
             p_x = 0.5 * spec.hbar / spec.magnetic_length
         state = landau_gauge_state(spec, args.level, p_x)
-        y_guide = -spec.light_speed * p_x / (spec.charge * spec.B)
+        y_guide = spec.guiding_line(p_x)
         probe = landau_gauge_state(
             spec, args.level, p_x, grid=_landau_support_grid(spec, y_guide)
         )
@@ -487,7 +482,7 @@ def cmd_landau_checks(args, rc: RunConfig) -> int:
     gauge_l = landau_gauge(spec.B)
     gauge_s = symmetric_gauge(spec.B)
     p_probe = 0.5 * spec.hbar / spec.magnetic_length
-    y_guide = -spec.light_speed * p_probe / (spec.charge * spec.B)
+    y_guide = spec.guiding_line(p_probe)
 
     checks: list[CheckResult] = []
     for level in (0, 1):

@@ -8,6 +8,7 @@ ways, and the Hall response carried by one filled level.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -69,11 +70,19 @@ class LandauSpec:
         """2 pi hbar c / |charge|."""
         return 2.0 * np.pi * self.hbar * self.light_speed / abs(self.charge)
 
+    def guiding_line(self, p_x: float) -> float:
+        """Height y = -c p_x / (charge B) of the guiding line for momentum p_x."""
+        return -self.light_speed * p_x / (self.charge * self.B)
+
+
+def _check_index(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
 
 def level_energy(spec: LandauSpec, n: int) -> float:
     """Energy of the n-th level, (n + 1/2) hbar * cyclotron frequency."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"level must be a non-negative integer, got {n!r}")
+    _check_index(n, "level")
     return (n + 0.5) * spec.hbar * spec.cyclotron_frequency
 
 
@@ -183,8 +192,7 @@ def hermite(n: int, x):
     H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}. Rejects negative
     orders.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"order must be a non-negative integer, got {n!r}")
+    _check_index(n, "order")
     x = np.asarray(x, dtype=float)
     previous = np.ones_like(x)
     if n == 0:
@@ -217,10 +225,9 @@ def landau_gauge_state(
     defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass a custom
     (x, y) pair to study the state on its own support.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"level must be a non-negative integer, got {n!r}")
+    _check_index(n, "level")
     length = spec.magnetic_length
-    y_guide = -spec.light_speed * p_x / (spec.charge * spec.B)
+    y_guide = spec.guiding_line(p_x)
     if not 0.0 <= y_guide <= spec.Ly:
         warnings.warn(
             f"guiding line y = {y_guide:.6g} lies outside [0, {spec.Ly}]; "
@@ -281,9 +288,8 @@ def symmetric_gauge_state(
     rings of radius magnetic_length * sqrt(2 * angular) without changing
     the energy.
     """
-    for name, value in (("level", n), ("angular", angular)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    _check_index(n, "level")
+    _check_index(angular, "angular")
     length = spec.magnetic_length
     if grid is None:
         extent = (np.sqrt(2.0 * (n + angular)) + 6.0) * length
@@ -478,20 +484,18 @@ def guiding_center_count(spec: LandauSpec) -> int:
 
     Periodic momenta along x are spaced 2 pi hbar / Lx; each maps to a
     guiding line y = -c p_x / (charge B). Counts the lines with
-    0 <= y <= Ly.
+    0 <= y <= Ly. The line heights rise with the momentum index even after
+    rounding, so the count is the first index past Ly, found by bisection.
     """
     step = 2.0 * np.pi * spec.hbar / spec.Lx
     direction = 1.0 if spec.charge < 0 else -1.0
-    count = 0
-    j = 0
-    while True:
-        y_guide = -spec.light_speed * (direction * j * step) / (spec.charge * spec.B)
-        if y_guide > spec.Ly:
-            return count
-        count += 1
-        j += 1
-        if j > 10_000_000:
-            raise RuntimeError("degeneracy enumeration did not terminate")
+    indices = range(10_000_001)
+    count = bisect.bisect_right(
+        indices, spec.Ly, key=lambda j: spec.guiding_line(direction * j * step)
+    )
+    if count == len(indices):
+        raise RuntimeError("degeneracy enumeration did not terminate")
+    return count
 
 
 def ring_count(spec: LandauSpec) -> int:

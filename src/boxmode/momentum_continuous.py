@@ -64,12 +64,20 @@ def amplitude_transform(spec: WellSpec, n: int, p, quad: QuadratureSettings | No
     returned so callers can verify it.
     """
     quad = quad or QuadratureSettings()
+    return _box_transform(spec, Eigenfunction(spec, n), p, quad)
+
+
+def _box_transform(spec: WellSpec, f, p, quad: QuadratureSettings):
+    """Integral of f(x) e^{-ipx/hbar} / sqrt(2 pi hbar) over the box, at each p.
+
+    ``f`` is a vectorized callable on [-a, a]; a scalar p gives a complex
+    scalar, an array p an array of the same shape.
+    """
     a = spec.half_width
-    psi = Eigenfunction(spec, n)
     x, w = quad.nodes(-a, a)
     p_arr = np.asarray(p, dtype=float)
     kernel = np.exp(-1j * np.outer(p_arr.ravel(), x) / spec.hbar)
-    values = kernel @ (w * psi(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
+    values = kernel @ (w * f(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:
         return complex(values[0])
     return values.reshape(p_arr.shape)
@@ -106,11 +114,6 @@ def analytic_density(spec: WellSpec, n: int, p):
     lobe = a * np.sinc(u[near] * a / np.pi)
     out[near] = prefactor * (lobe / (2.0 * k_n + u[near])) ** 2
     return float(out[0]) if scalar else out
-
-
-def analytic_density_ground(spec: WellSpec, p):
-    """Closed-form momentum density of the ground state."""
-    return analytic_density(spec, 1, p)
 
 
 @dataclass(frozen=True)

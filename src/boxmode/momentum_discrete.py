@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import QuadratureSettings
-from .well import Eigenfunction, WellSpec, _check_level
+from .well import WellSpec, _check_level
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,3 @@ def convergence_report(
         spike_weight=1.0,
         defect=1.0 - mass,
     )
-
-
-def eigenstate_callable(spec: WellSpec, n: int):
-    """Stationary state n as a plain callable, for feeding to ``expand``."""
-    return Eigenfunction(spec, n)

@@ -1,4 +1,4 @@
-"""Fixed-order Gauss-Legendre quadrature with cached nodes."""
+"""Gauss-Legendre quadrature with cached nodes, and a bandwidth-based order."""
 
 from __future__ import annotations
 
@@ -43,3 +43,14 @@ class QuadratureSettings:
         """Integrate a vectorized callable over ``[lo, hi]``."""
         x, w = self.nodes(lo, hi)
         return np.asarray(f(x)) @ w
+
+
+def bandwidth_order(radians: float) -> int:
+    """Gauss-Legendre order for an integrand whose phase turns at most
+    ``radians`` across half of the integration interval.
+
+    An n-node rule resolves such an integrand once n exceeds about half the
+    phase span; the rule adds a 32-node margin and never drops below the
+    default order.
+    """
+    return max(QuadratureSettings().order, int(np.ceil(radians / 2.0)) + 32)

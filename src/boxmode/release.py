@@ -1,18 +1,22 @@
 """Sudden release: free flight of a box state after the walls are removed.
 
-Evolution happens on a periodic grid much longer than the box, by exact
-multiplication with the free-particle phase in the discrete Fourier basis.
-The far-field helpers map late-time position densities onto the momentum
-axis, where they converge to the continuous momentum density.
+Two views of the released state. ``evolve_free`` gives a full snapshot on a
+periodic grid much longer than the box, by exact multiplication with the
+free-particle phase in the discrete Fourier basis; ``suggested_box`` sizes
+that grid and an AliasingError guards its edge. ``farfield_map`` needs no
+grid: it evaluates the rescaled density at any requested momenta as a box
+transform of the state times a chirp, which converges to the continuous
+momentum density as the flight time grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .momentum_continuous import _box_transform
+from .quadrature import QuadratureSettings, bandwidth_order
 from .well import Eigenfunction, WellSpec, _check_level
 
 
@@ -101,44 +105,6 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     return samples * dx, samples
 
 
-def farfield_box(
-    spec: WellSpec, n: int, t: float, probe_max: float | None = None
-) -> tuple[float, int]:
-    """A (length, samples) pair sized for far-field accuracy at time t.
-
-    Two effects limit how well the rescaled late-time density matches the
-    momentum density, and both are controlled here:
-
-    * the grid-sampling floor of the discrete transform, which scales as
-      dx^2 — the step shrinks with t as dx = 2a/M, M = max(64,
-      2*ceil(0.8 t hbar/(m a^2)));
-    * wrap-around images of the packet, which vanish entirely (not merely
-      decay) once the box is longer than (t/m)(pi hbar/dx + probe_max),
-      because image packets beyond the grid's momentum band are evanescent.
-
-    ``probe_max`` is the largest |p| the caller intends to inspect; it
-    defaults to six spike momenta.
-    """
-    n = _check_level(n)
-    if not t > 0:
-        raise ValueError(f"far-field boxes need t > 0, got {t}")
-    a, m, hbar = spec.half_width, spec.mass, spec.hbar
-    if probe_max is None:
-        probe_max = 6.0 * spec.spike_momentum(n)
-    cells_across = max(64, 2 * int(np.ceil(0.8 * t * hbar / (m * a * a))))
-    dx = 2.0 * a / cells_across
-    p_nyquist = np.pi * hbar / dx
-    p_quantile, p_edge = _tail_momenta(spec, n, t)
-    length = max(
-        (t / m) * (p_nyquist + probe_max) + 2.0 * a,
-        2.0 * a + 2.0 * (p_edge / m) * t,
-        2.0 * a + 6.0 * (p_quantile / m) * t,
-        16.0 * a,
-    )
-    samples = _pow2_at_least(length / dx)
-    return samples * dx, samples
-
-
 def evolve_free(
     spec: WellSpec, n: int, t: float, box: tuple[float, int] | None = None
 ) -> EvolutionSnapshot:
@@ -183,30 +149,34 @@ def evolve_free(
     return snapshot
 
 
-class FarfieldCurve(NamedTuple):
-    """Late-time density mapped onto the momentum axis."""
+def farfield_map(spec: WellSpec, n: int, t: float, p):
+    """Position density of released state n at x = p t / m, rescaled by t/m.
 
-    p: np.ndarray
-    density: np.ndarray
+    The walls vanish at t = 0, so the state at time t is the free-particle
+    (Fresnel) propagator applied to psi_n over the box alone. Writing
+    x = p t / m factors the propagator into a plane wave and a unit-modulus
+    chirp, which makes the rescaled density exactly
 
-    def sample(self, p_values) -> np.ndarray:
-        """Linear interpolation of the curve at the given momenta."""
-        return np.interp(p_values, self.p, self.density)
+        |int_{-a}^{a} e^{-ipx'/hbar} e^{imx'^2/2hbar t} psi_n(x') dx'|^2 / (2 pi hbar),
 
-
-def farfield_map(snapshot: EvolutionSnapshot, spec: WellSpec) -> FarfieldCurve:
-    """Relabel a late-time snapshot as a momentum-density approximation.
-
-    A freely spreading packet sorts itself ballistically: the amplitude near
-    position x at late time t is carried by momentum p = m x / t, and the
-    position density approaches |phi(p)|^2 * (m/t). Multiplying the density
-    by t/m and relabeling the axis therefore yields a curve that converges
-    to the continuous momentum density as t grows.
+    the box transform of the chirped state. It converges to the continuous
+    momentum density as 1/t^2. The Gauss-Legendre order comes from
+    ``bandwidth_order`` applied to the integrand's phase span over a half
+    width: a (max|p| + m a / t) / hbar from the plane wave and the chirp,
+    plus k_n a from the state. A scalar p gives a float.
     """
-    if snapshot.t <= 0:
-        raise ValueError(f"the far-field map needs t > 0, got t = {snapshot.t}")
-    p = spec.mass * snapshot.x / snapshot.t
-    return FarfieldCurve(p=p, density=snapshot.density * (snapshot.t / spec.mass))
+    if not t > 0:
+        raise ValueError(f"the far-field map needs t > 0, got t = {t}")
+    psi = Eigenfunction(spec, n)
+    a, m, hbar = spec.half_width, spec.mass, spec.hbar
+    p_max = float(np.max(np.abs(p), initial=0.0))
+    radians = a * (p_max + m * a / t) / hbar + psi.wavenumber * a
+    quad = QuadratureSettings(bandwidth_order(radians))
+
+    def chirped(x):
+        return psi(x) * np.exp(1j * m * x**2 / (2.0 * hbar * t))
+
+    return np.abs(_box_transform(spec, chirped, p, quad)) ** 2
 
 
 def grid_kinetic_energy(snapshot: EvolutionSnapshot, spec: WellSpec) -> float:

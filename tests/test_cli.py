@@ -98,6 +98,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("momentum", "continuous", "--count", "10"),
         ("momentum", "discrete", "--k-max", "0"),
         ("landau", "state", "--level", "-2"),
+        ("release", "farfield", "--t", "0"),
+        ("release", "farfield", "--probe-max", "0"),
         ("nonsense",),
         ("well", "nonsense"),
     ],
@@ -164,6 +166,15 @@ def test_release_evolve_needs_full_box(tmp_path, capsys):
     capsys.readouterr()
     assert code == 2
     assert not (tmp_path / "sub").exists()
+
+
+def test_release_farfield_run(tmp_path, capsys):
+    code = run_in(tmp_path, "release", "farfield", "--t", "50")
+    assert code == 0
+    assert "farfield-deviation: PASS" in capsys.readouterr().out
+    lines = (tmp_path / "release_farfield.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "p,rescaled_density"
+    assert len(lines) == 2002
 
 
 def test_landau_degeneracy_run(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from boxmode import (
     vortex_lattice_constant,
     vortex_state,
 )
-from boxmode.landau import _axis, _centered_axis
+from boxmode.landau import _axis, _centered_axis, guiding_center_count
 
 RESIDUAL_LIMIT = 1e-3
 
@@ -292,6 +294,34 @@ def test_degeneracy_three_ways(landau):
     assert report.guiding_center_count == 16
     assert report.ring_count == 16
     assert report.spread <= 1
+
+
+def _enumerated_guiding_lines(spec):
+    """Reference count: walk the momentum ladder until a line leaves [0, Ly]."""
+    step = 2.0 * np.pi * spec.hbar / spec.Lx
+    direction = 1.0 if spec.charge < 0 else -1.0
+    j = 0
+    while spec.guiding_line(direction * j * step) <= spec.Ly:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"charge": 2.5, "B": 0.7, "Lx": 31.0, "Ly": 17.3},
+        {"charge": -0.4, "light_speed": 3.0, "hbar": 0.6, "Lx": 400.0, "Ly": 250.0},
+    ],
+)
+def test_guiding_center_count_matches_enumeration(kwargs):
+    spec = LandauSpec(**kwargs)
+    assert guiding_center_count(spec) == _enumerated_guiding_lines(spec)
+    # With Ly exactly on the eighth guiding line, that line still counts.
+    step = 2.0 * np.pi * spec.hbar / spec.Lx
+    direction = 1.0 if spec.charge < 0 else -1.0
+    tied = replace(spec, Ly=spec.guiding_line(direction * 7 * step))
+    assert guiding_center_count(tied) == _enumerated_guiding_lines(tied) == 8
 
 
 @pytest.mark.parametrize(

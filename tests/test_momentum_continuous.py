@@ -8,7 +8,6 @@ from boxmode import (
     WellSpec,
     amplitude_transform,
     analytic_density,
-    analytic_density_ground,
     default_grid,
     eigenfunction,
     spectrum,
@@ -32,14 +31,14 @@ def test_ground_amplitude_at_origin(spec):
 
 
 def test_ground_density_landmarks(spec):
-    assert analytic_density_ground(spec, 0.0) == pytest.approx(
+    assert analytic_density(spec, 1, 0.0) == pytest.approx(
         GROUND_DENSITY_AT_ZERO, abs=1e-12
     )
     k1 = spec.spike_momentum(1)
-    assert analytic_density_ground(spec, k1) == pytest.approx(
+    assert analytic_density(spec, 1, k1) == pytest.approx(
         GROUND_DENSITY_AT_SPIKE, abs=1e-12
     )
-    assert analytic_density_ground(spec, -k1) == pytest.approx(
+    assert analytic_density(spec, 1, -k1) == pytest.approx(
         GROUND_DENSITY_AT_SPIKE, abs=1e-12
     )
 

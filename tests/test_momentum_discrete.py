@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from boxmode import (
     DiscreteMomentumSpectrum,
+    Eigenfunction,
     ExtensionPhase,
     QuadratureSettings,
     WellSpec,
@@ -15,7 +16,6 @@ from boxmode import (
     expand,
     matched_phase,
 )
-from boxmode.momentum_discrete import eigenstate_callable
 
 # Window mass captured around the two spikes (default window, natural
 # units), frozen from 256-node quadrature of the closed-form density.
@@ -97,7 +97,7 @@ def test_eigenstate_spectrum_indices(spec):
 def test_expand_recovers_eigenstate_spikes(spec, n):
     """Quadrature expansion of a stationary state lands on the exact two-spike
     answer: weight 1/2 on each matched-ladder spike, nothing anywhere else."""
-    result = expand(spec, eigenstate_callable(spec, n), matched_phase(n), k_max=16)
+    result = expand(spec, Eigenfunction(spec, n), matched_phase(n), k_max=16)
     exact = eigenstate_spectrum(spec, n)
     spike = np.isin(result.indices, exact.indices)
     np.testing.assert_allclose(result.weights[spike], 0.5, atol=1e-13)
@@ -109,12 +109,12 @@ def test_expand_weight_symmetry(spec):
     # Real states carry equal weight at +p and -p. On the integer ladder
     # (theta = 0) the index range is momentum-symmetric, so the weight
     # array is an exact palindrome; this state spreads over every rung.
-    result = expand(spec, eigenstate_callable(spec, 1), ExtensionPhase(0.0), k_max=12)
+    result = expand(spec, Eigenfunction(spec, 1), ExtensionPhase(0.0), k_max=12)
     np.testing.assert_allclose(result.weights, result.weights[::-1], rtol=1e-12)
 
     # The half-integer ladder mirrors rung k onto rung -k-1, which leaves
     # the topmost rung unpaired; everything below it must still pair up.
-    shifted = expand(spec, eigenstate_callable(spec, 1), matched_phase(1), k_max=12)
+    shifted = expand(spec, Eigenfunction(spec, 1), matched_phase(1), k_max=12)
     paired = shifted.weights[:-1]
     np.testing.assert_allclose(paired, paired[::-1], atol=1e-15)
 
@@ -126,7 +126,7 @@ def test_expand_rejects_unnormalized_state(spec):
 
 def test_expand_rejects_negative_k_max(spec):
     with pytest.raises(ValueError):
-        expand(spec, eigenstate_callable(spec, 1), matched_phase(1), k_max=-2)
+        expand(spec, Eigenfunction(spec, 1), matched_phase(1), k_max=-2)
 
 
 def test_spectrum_contract_violations(spec):
@@ -161,8 +161,8 @@ def test_spectrum_contract_violations(spec):
 def test_mismatched_ladder_leaks_but_stays_bounded(spec):
     """A stationary state expanded over the wrong-phase ladder spreads over
     many rungs; the truncated weight still approaches 1 from below."""
-    mixed = expand(spec, eigenstate_callable(spec, 1), ExtensionPhase(0.0), k_max=64)
-    matched = expand(spec, eigenstate_callable(spec, 1), matched_phase(1), k_max=64)
+    mixed = expand(spec, Eigenfunction(spec, 1), ExtensionPhase(0.0), k_max=64)
+    matched = expand(spec, Eigenfunction(spec, 1), matched_phase(1), k_max=64)
     assert mixed.total_weight() <= 1.0 + 1e-12
     assert mixed.completeness_defect() < 1e-3
     assert matched.completeness_defect() < mixed.completeness_defect()

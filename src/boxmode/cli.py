@@ -170,14 +170,15 @@ def _landau_spec(rc: RunConfig, args) -> LandauSpec:
 # command handlers
 
 
-def _emit(rc: RunConfig, group: str, command: str, checks, tables, info=()) -> int:
+def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
     """Print the report, write the tables, and return the exit code.
 
-    ``tables`` maps file names to (header, rows) pairs. Files are written
-    only after every computation succeeded, so argument errors never leave
-    partial output behind.
+    The report opens with the leaf's ``group`` and ``command`` from the
+    parsed ``args``. ``tables`` maps file names to (header, rows) pairs.
+    Files are written only after every computation succeeded, so argument
+    errors never leave partial output behind.
     """
-    print(f"boxmode {group} {command}")
+    print(f"boxmode {args.group} {args.command}")
     print(f"config: units={rc.units} digits={rc.digits} out={rc.out}")
     for line in info:
         print(line)
@@ -206,7 +207,7 @@ def cmd_well_energies(args, rc: RunConfig) -> int:
         check("quadratic-ladder", ratio_defect, 1e-12),
     ]
     rows = [(n, e) for n, e in zip(levels, energies)]
-    return _emit(rc, "well", "energies", checks, {"well_energies.csv": (("n", "energy"), rows)})
+    return _emit(args, rc, checks, {"well_energies.csv": (("n", "energy"), rows)})
 
 
 def cmd_well_eigenfunction(args, rc: RunConfig) -> int:
@@ -225,13 +226,7 @@ def cmd_well_eigenfunction(args, rc: RunConfig) -> int:
         check("vanishes-at-walls", boundary, 0.0),
     ]
     rows = list(zip(x, values))
-    return _emit(
-        rc,
-        "well",
-        "eigenfunction",
-        checks,
-        {"well_eigenfunction.csv": (("x", "psi"), rows)},
-    )
+    return _emit(args, rc, checks, {"well_eigenfunction.csv": (("x", "psi"), rows)})
 
 
 def cmd_momentum_continuous(args, rc: RunConfig) -> int:
@@ -261,9 +256,8 @@ def cmd_momentum_continuous(args, rc: RunConfig) -> int:
     ]
     rows = list(zip(grid.points, spec_n.density))
     return _emit(
+        args,
         rc,
-        "momentum",
-        "continuous",
         checks,
         {"momentum_continuous.csv": (("p", "probability_density"), rows)},
     )
@@ -290,13 +284,7 @@ def cmd_momentum_discrete(args, rc: RunConfig) -> int:
         check("off-spike-weights", off_spike, 1e-12),
     ]
     rows = decomposition.entries
-    return _emit(
-        rc,
-        "momentum",
-        "discrete",
-        checks,
-        {"momentum_discrete.csv": (("k", "momentum", "weight"), rows)},
-    )
+    return _emit(args, rc, checks, {"momentum_discrete.csv": (("k", "momentum", "weight"), rows)})
 
 
 def cmd_momentum_compare(args, rc: RunConfig) -> int:
@@ -320,9 +308,8 @@ def cmd_momentum_compare(args, rc: RunConfig) -> int:
     rows = list(zip(continuous.grid.points, continuous.density))
     spike_rows = [(momentum, weight) for _, momentum, weight in spikes.entries]
     return _emit(
+        args,
         rc,
-        "momentum",
-        "compare",
         checks,
         {
             "momentum_compare.csv": (("p", "continuous_density"), rows),
@@ -352,9 +339,8 @@ def cmd_release_evolve(args, rc: RunConfig) -> int:
     ]
     rows = list(zip(snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
     return _emit(
+        args,
         rc,
-        "release",
-        "evolve",
         checks,
         {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)},
     )
@@ -374,13 +360,7 @@ def cmd_release_farfield(args, rc: RunConfig) -> int:
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
     rows = list(zip(p, density))
     checks = [check("farfield-deviation", deviation, 1e-3)]
-    return _emit(
-        rc,
-        "release",
-        "farfield",
-        checks,
-        {"release_farfield.csv": (("p", "rescaled_density"), rows)},
-    )
+    return _emit(args, rc, checks, {"release_farfield.csv": (("p", "rescaled_density"), rows)})
 
 
 def _landau_support_grid(spec: LandauSpec, y_guide: float, refine: int = 1):
@@ -421,9 +401,8 @@ def cmd_landau_state(args, rc: RunConfig) -> int:
         )
     )
     return _emit(
+        args,
         rc,
-        "landau",
-        "state",
         checks,
         {"landau_state.csv": (("x", "y", "psi_re", "psi_im", "density"), rows)},
     )
@@ -445,13 +424,7 @@ def cmd_landau_degeneracy(args, rc: RunConfig) -> int:
         ("guiding_centers", report.guiding_center_count),
         ("rings", report.ring_count),
     ]
-    return _emit(
-        rc,
-        "landau",
-        "degeneracy",
-        checks,
-        {"landau_degeneracy.csv": (("method", "value"), rows)},
-    )
+    return _emit(args, rc, checks, {"landau_degeneracy.csv": (("method", "value"), rows)})
 
 
 def cmd_landau_hall(args, rc: RunConfig) -> int:
@@ -468,13 +441,7 @@ def cmd_landau_hall(args, rc: RunConfig) -> int:
         ("conductance", report.conductance),
         ("conductance_quantum", quantum),
     ]
-    return _emit(
-        rc,
-        "landau",
-        "hall",
-        checks,
-        {"landau_hall.csv": (("quantity", "value"), rows)},
-    )
+    return _emit(args, rc, checks, {"landau_hall.csv": (("quantity", "value"), rows)})
 
 
 def cmd_landau_checks(args, rc: RunConfig) -> int:
@@ -513,13 +480,7 @@ def cmd_landau_checks(args, rc: RunConfig) -> int:
     )
 
     rows = [(c.name, c.residual) for c in checks]
-    return _emit(
-        rc,
-        "landau",
-        "checks",
-        checks,
-        {"landau_checks.csv": (("check", "residual"), rows)},
-    )
+    return _emit(args, rc, checks, {"landau_checks.csv": (("check", "residual"), rows)})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ ways, and the Hall response carried by one filled level.
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -479,34 +478,60 @@ class DegeneracyReport(NamedTuple):
         return max(counts) - min(counts)
 
 
+# Past 2**53 neighbouring indices round to the same float, and stepping from
+# a count's closed-form estimate to its exact boundary would no longer settle
+# within a few steps.
+_COUNT_LIMIT = 2.0**53
+
+
 def guiding_center_count(spec: LandauSpec) -> int:
-    """States per level by enumerating guiding lines inside the rectangle.
+    """States per level by counting guiding lines inside the rectangle.
 
     Periodic momenta along x are spaced 2 pi hbar / Lx; each maps to a
     guiding line y = -c p_x / (charge B). Counts the lines with
-    0 <= y <= Ly. The line heights rise with the momentum index even after
-    rounding, so the count is the first index past Ly, found by bisection.
+    0 <= y <= Ly. The heights rise with the momentum index even after
+    rounding, so the count starts from floor(Ly |charge| B / (c step)) and
+    steps to the last index whose rounded line still lies inside.
     """
     step = 2.0 * np.pi * spec.hbar / spec.Lx
     direction = 1.0 if spec.charge < 0 else -1.0
-    indices = range(10_000_001)
-    count = bisect.bisect_right(
-        indices, spec.Ly, key=lambda j: spec.guiding_line(direction * j * step)
-    )
-    if count == len(indices):
-        raise RuntimeError("degeneracy enumeration did not terminate")
-    return count
+
+    def inside(j):
+        return spec.guiding_line(direction * j * step) <= spec.Ly
+
+    estimate = spec.Ly * abs(spec.charge) * spec.B / (spec.light_speed * step)
+    if not estimate < _COUNT_LIMIT:
+        raise ValueError(f"{estimate:.3e} guiding lines exceed the float64 index limit 2**53")
+    j = int(estimate)
+    while inside(j + 1):
+        j += 1
+    while not inside(j):
+        j -= 1
+    return j + 1
 
 
 def ring_count(spec: LandauSpec) -> int:
     """States per level by packing rings of radius sqrt(2 L) magnetic lengths
-    into a disk with the rectangle's area."""
+    into a disk with the rectangle's area.
+
+    Starts from floor(R^2 / 2 l^2) and steps to the largest L whose rounded
+    ring radius still fits, so a ring exactly on the boundary counts.
+    """
     radius = np.sqrt(spec.Lx * spec.Ly / np.pi)
     length = spec.magnetic_length
-    count = 0
-    while length * np.sqrt(2.0 * count) <= radius:
-        count += 1
-    return count
+
+    def fits(c):
+        return length * np.sqrt(2.0 * c) <= radius
+
+    estimate = radius**2 / (2.0 * length**2)
+    if not estimate < _COUNT_LIMIT:
+        raise ValueError(f"{estimate:.3e} rings exceed the float64 index limit 2**53")
+    c = int(estimate)
+    while fits(c + 1):
+        c += 1
+    while not fits(c):
+        c -= 1
+    return c + 1
 
 
 def degeneracy(spec: LandauSpec) -> DegeneracyReport:
@@ -568,8 +593,7 @@ def conductance_quantum(spec: LandauSpec) -> float:
 
 def ring_radius(spec: LandauSpec, angular: int) -> float:
     """Radius magnetic_length * sqrt(2 * angular) of the ring-state maximum."""
-    if angular < 0:
-        raise ValueError(f"angular must be non-negative, got {angular}")
+    _check_index(angular, "angular")
     return float(spec.magnetic_length * np.sqrt(2.0 * angular))
 
 

@@ -13,14 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, bandwidth_order
 from .well import Eigenfunction, WellSpec, _check_level
-
-# Half-width (in units of 1/a) of the band around |q| = k_n inside which the
-# density is evaluated through its exact sinc rewrite instead of the raw
-# quotient; the two expressions agree identically, the rewrite just avoids
-# catastrophic cancellation in (k_n^2 - q^2)^2.
-_NEAR_SPIKE_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,29 +48,37 @@ def default_grid(spec: WellSpec, n: int) -> MomentumGrid:
     return MomentumGrid(p_max=20.0 * spec.spike_momentum(n))
 
 
-def amplitude_transform(spec: WellSpec, n: int, p, quad: QuadratureSettings | None = None):
+def amplitude_transform(spec: WellSpec, n: int, p):
     """Momentum amplitude of state n: its Fourier transform over the box.
 
     Integrates psi_n(x) e^{-ipx/hbar} / sqrt(2 pi hbar) with Gauss-Legendre
-    nodes, vectorized over p. Odd-numbered levels give purely real
-    amplitudes and even-numbered levels purely imaginary ones; the numerical
-    remainder in the other component stays near machine precision and is
-    returned so callers can verify it.
+    nodes, vectorized over p; the node count follows from the largest phase
+    the integrand turns through (see ``_box_transform``). Odd-numbered
+    levels give purely real amplitudes and even-numbered levels purely
+    imaginary ones; the numerical remainder in the other component stays
+    near machine precision and is returned so callers can verify it.
     """
-    quad = quad or QuadratureSettings()
-    return _box_transform(spec, Eigenfunction(spec, n), p, quad)
+    psi = Eigenfunction(spec, n)
+    return _box_transform(spec, psi, p, psi.wavenumber * spec.half_width)
 
 
-def _box_transform(spec: WellSpec, f, p, quad: QuadratureSettings):
+def _box_transform(spec: WellSpec, f, p, f_radians: float):
     """Integral of f(x) e^{-ipx/hbar} / sqrt(2 pi hbar) over the box, at each p.
 
-    ``f`` is a vectorized callable on [-a, a]; a scalar p gives a complex
-    scalar, an array p an array of the same shape.
+    ``f`` is a vectorized callable on [-a, a] whose phase turns through at
+    most ``f_radians`` over a half width. The Gauss-Legendre order is
+    ``bandwidth_order`` of that span plus the plane wave's a max|p| / hbar.
+    A scalar p gives a complex scalar, an array p an array of the same shape.
     """
     a = spec.half_width
-    x, w = quad.nodes(-a, a)
     p_arr = np.asarray(p, dtype=float)
-    kernel = np.exp(-1j * np.outer(p_arr.ravel(), x) / spec.hbar)
+    p_max = float(np.max(np.abs(p_arr), initial=0.0))
+    radians = a * p_max / spec.hbar + f_radians
+    x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
+    # The kernel is the largest array the package builds (20001 x 256
+    # complex is 82 MB); exponentiating in place avoids a second copy.
+    kernel = -1j * np.outer(p_arr.ravel(), x) / spec.hbar
+    np.exp(kernel, out=kernel)
     values = kernel @ (w * f(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:
         return complex(values[0])
@@ -86,34 +88,21 @@ def _box_transform(spec: WellSpec, f, p, quad: QuadratureSettings):
 def analytic_density(spec: WellSpec, n: int, p):
     """Closed-form momentum density of state n, finite on the whole axis.
 
-    Away from the spike momenta this is
-    ``4 k_n^2 / (2 pi hbar a) * trig^2(q a) / (k_n^2 - q^2)^2`` with
-    q = p/hbar and trig = cos for odd n, sin for even n. Within a narrow
-    band around |q| = k_n the same function is evaluated through the exact
-    identity trig^2(qa) = sin^2(ua) with u = |q| - k_n, which collapses the
-    quotient to ``(a sinc(ua/pi))^2 / (2 k_n + u)^2`` — finite, smooth, and
-    cancellation-free across the removable points, where the density takes
-    its exact limit a / (2 pi hbar).
+    The density is ``4 k_n^2 / (2 pi hbar a) * trig^2(q a) / (k_n^2 - q^2)^2``
+    with q = p/hbar and trig = cos for odd n, sin for even n. Since
+    k_n a = n pi / 2, trig^2(qa) = sin^2(ua) with u = |q| - k_n, which
+    collapses the quotient to ``(a sinc(ua/pi))^2 / (2 k_n + u)^2``. That
+    form is evaluated everywhere: it is free of the cancellation in
+    (k_n^2 - q^2)^2 near the spikes, where the density takes its exact
+    limit a / (2 pi hbar).
     """
     n = _check_level(n)
     a = spec.half_width
-    hbar = spec.hbar
     k_n = spec.wavenumber(n)
-    q = np.asarray(p, dtype=float) / hbar
-    scalar = q.ndim == 0
-    q = np.atleast_1d(q)
-
-    prefactor = 4.0 * k_n**2 / (2.0 * np.pi * hbar * a)
-    u = np.abs(q) - k_n
-    near = np.abs(u) < _NEAR_SPIKE_BAND / a
-    trig = np.cos if n % 2 else np.sin
-
-    out = np.empty_like(q)
-    q_far = q[~near]
-    out[~near] = prefactor * trig(q_far * a) ** 2 / (k_n**2 - q_far**2) ** 2
-    lobe = a * np.sinc(u[near] * a / np.pi)
-    out[near] = prefactor * (lobe / (2.0 * k_n + u[near])) ** 2
-    return float(out[0]) if scalar else out
+    u = np.abs(np.asarray(p, dtype=float) / spec.hbar) - k_n
+    lobe = a * np.sinc(u * a / np.pi)
+    density = 4.0 * k_n**2 / (2.0 * np.pi * spec.hbar * a) * (lobe / (2.0 * k_n + u)) ** 2
+    return float(density) if density.ndim == 0 else density
 
 
 @dataclass(frozen=True)
@@ -143,15 +132,16 @@ class ContinuousMomentumSpectrum:
 
 
 def spectrum(
-    spec: WellSpec,
-    n: int,
-    grid: MomentumGrid | None = None,
-    quad: QuadratureSettings | None = None,
+    spec: WellSpec, n: int, grid: MomentumGrid | None = None
 ) -> ContinuousMomentumSpectrum:
-    """Sample the momentum amplitude of state n and its density on a grid."""
+    """Sample the momentum amplitude of state n and its density on a grid.
+
+    The transform's quadrature order grows with the grid's p_max, so high
+    levels and wide windows do not alias.
+    """
     n = _check_level(n)
     grid = grid or default_grid(spec, n)
-    amplitude = amplitude_transform(spec, n, grid.points, quad=quad)
+    amplitude = amplitude_transform(spec, n, grid.points)
     return ContinuousMomentumSpectrum(
         level=n,
         grid=grid,

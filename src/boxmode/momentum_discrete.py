@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, bandwidth_order
 from .well import WellSpec, _check_level
 
 
@@ -116,29 +116,27 @@ class DiscreteMomentumSpectrum:
 
 
 def expand(
-    spec: WellSpec,
-    state,
-    phase: ExtensionPhase,
-    k_max: int,
-    quad: QuadratureSettings | None = None,
+    spec: WellSpec, state, phase: ExtensionPhase, k_max: int
 ) -> DiscreteMomentumSpectrum:
     """Decompose a normalized state over one extension's ladder, |k| <= k_max.
 
-    ``state`` is any callable on position arrays. Its norm over the box must
-    be 1 within 1e-6 — a wrong norm would silently corrupt every weight, so
-    it is rejected instead.
+    ``state`` is any callable on position arrays. The Gauss-Legendre order
+    is sized to the ladder's top momentum, and the state's norm over the
+    same nodes must be 1 within 1e-6 — a wrong norm, or a state too
+    oscillatory for those nodes, would silently corrupt every weight, so it
+    is rejected instead.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    quad = quad or QuadratureSettings()
     a = spec.half_width
-    x, w = quad.nodes(-a, a)
+    ks, momenta = allowed_momenta(spec, phase, k_max)
+    radians = a * float(np.abs(momenta).max()) / spec.hbar
+    x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     values = np.asarray(state(x), dtype=complex)
     norm = float(np.real(np.conj(values) * values) @ w)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state norm over the box is {norm:.8f}, expected 1 within 1e-6")
 
-    ks, momenta = allowed_momenta(spec, phase, k_max)
     kernel = np.exp(-1j * np.outer(momenta, x) / spec.hbar) / np.sqrt(2.0 * a)
     coefficients = kernel @ (w * values)
     return DiscreteMomentumSpectrum(
@@ -186,22 +184,20 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    spec: WellSpec,
-    n: int,
-    window_half_width: float | None = None,
-    quad: QuadratureSettings | None = None,
+    spec: WellSpec, n: int, window_half_width: float | None = None
 ) -> ConvergenceReport:
     """Continuous mass inside windows centered on the spikes, vs spike weight.
 
     Integrates the closed-form continuous density over ±window_half_width
     around each of the two spike momenta (merging the windows when they
     overlap) and reports the defect: total discrete spike weight (exactly 1)
-    minus the continuous mass captured by the windows.
+    minus the continuous mass captured by the windows. Each window's
+    Gauss-Legendre order is sized to the density's phase a (hi - lo) / hbar
+    across half of it, so wide windows integrate as exactly as narrow ones.
     """
     from .momentum_continuous import analytic_density
 
     n = _check_level(n)
-    quad = quad or QuadratureSettings()
     if window_half_width is None:
         window_half_width = np.pi * spec.hbar / (2.0 * spec.half_width)
     if not window_half_width > 0:
@@ -217,7 +213,8 @@ def convergence_report(
 
     mass = 0.0
     for lo, hi in windows:
-        x, w = quad.nodes(lo, hi)
+        radians = spec.half_width * (hi - lo) / spec.hbar
+        x, w = QuadratureSettings(bandwidth_order(radians)).nodes(lo, hi)
         mass += float(analytic_density(spec, n, x) @ w)
 
     return ConvergenceReport(

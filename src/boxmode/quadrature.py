@@ -20,9 +20,10 @@ class QuadratureSettings:
     Parameters
     ----------
     order : int
-        Number of nodes. The default 256 integrates every integrand in this
-        package (trigonometric states against smooth or oscillatory kernels
-        over a single box width) to near machine precision.
+        Number of nodes. The default 256 resolves integrands whose phase
+        turns through up to about 450 radians over half the interval; the
+        package's box integrals take their order from ``bandwidth_order``,
+        which never drops below this default.
     """
 
     order: int = 256

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum_continuous import _box_transform
-from .quadrature import QuadratureSettings, bandwidth_order
 from .well import Eigenfunction, WellSpec, _check_level
 
 
@@ -169,14 +168,12 @@ def farfield_map(spec: WellSpec, n: int, t: float, p):
         raise ValueError(f"the far-field map needs t > 0, got t = {t}")
     psi = Eigenfunction(spec, n)
     a, m, hbar = spec.half_width, spec.mass, spec.hbar
-    p_max = float(np.max(np.abs(p), initial=0.0))
-    radians = a * (p_max + m * a / t) / hbar + psi.wavenumber * a
-    quad = QuadratureSettings(bandwidth_order(radians))
 
     def chirped(x):
         return psi(x) * np.exp(1j * m * x**2 / (2.0 * hbar * t))
 
-    return np.abs(_box_transform(spec, chirped, p, quad)) ** 2
+    radians = a * (m * a / t) / hbar + psi.wavenumber * a
+    return np.abs(_box_transform(spec, chirped, p, radians)) ** 2
 
 
 def grid_kinetic_energy(snapshot: EvolutionSnapshot, spec: WellSpec) -> float:

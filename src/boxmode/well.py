@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, bandwidth_order
 
 
 def _check_level(n) -> int:
@@ -85,13 +85,20 @@ def eigenfunction(spec: WellSpec, n: int) -> Eigenfunction:
     return Eigenfunction(spec, n)
 
 
-def state_overlap(spec: WellSpec, m: int, n: int, quad: QuadratureSettings | None = None) -> float:
-    """Inner product of stationary states m and n over the box."""
-    quad = quad or QuadratureSettings()
-    x, w = quad.nodes(-spec.half_width, spec.half_width)
-    return float((Eigenfunction(spec, m)(x) * Eigenfunction(spec, n)(x)) @ w)
+def state_overlap(spec: WellSpec, m: int, n: int) -> float:
+    """Inner product of stationary states m and n over the box.
+
+    The product's phase turns through (k_m + k_n) a over a half width; the
+    Gauss-Legendre order is sized to that span.
+    """
+    a = spec.half_width
+    psi_m, psi_n = Eigenfunction(spec, m), Eigenfunction(spec, n)
+    radians = (psi_m.wavenumber + psi_n.wavenumber) * a
+    x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
+    return float((psi_m(x) * psi_n(x)) @ w)
 
 
-def normalization_defect(spec: WellSpec, n: int, quad: QuadratureSettings | None = None) -> float:
-    """|<n|n> - 1| for the n-th state, a direct quadrature sanity check."""
-    return abs(state_overlap(spec, n, n, quad=quad) - 1.0)
+def normalization_defect(spec: WellSpec, n: int) -> float:
+    """|<n|n> - 1| for the n-th state, a direct quadrature sanity check on
+    the rule ``state_overlap`` sizes to 2 k_n a."""
+    return abs(state_overlap(spec, n, n) - 1.0)

@@ -82,6 +82,32 @@ def test_momentum_compare_writes_sidecar(tmp_path):
     assert all(w == "5.000000000000e-01" for w in weights)
 
 
+@pytest.mark.parametrize(
+    "argv, csv_name, header",
+    [
+        (("well", "eigenfunction", "--samples", "101"), "well_eigenfunction.csv", "x,psi"),
+        (("momentum", "discrete"), "momentum_discrete.csv", "k,momentum,weight"),
+        (("momentum", "discrete", "--k-max", "160"), "momentum_discrete.csv", "k,momentum,weight"),
+        (("momentum", "continuous", "--n", "20"), "momentum_continuous.csv", "p,probability_density"),
+        (("landau", "state"), "landau_state.csv", "x,y,psi_re,psi_im,density"),
+        (
+            ("landau", "state", "--gauge", "symmetric", "--level", "1", "--angular", "2"),
+            "landau_state.csv",
+            "x,y,psi_re,psi_im,density",
+        ),
+        (("landau", "checks"), "landau_checks.csv", "check,residual"),
+    ],
+)
+def test_leaf_runs_with_every_check_passing(tmp_path, capsys, argv, csv_name, header):
+    assert run_in(tmp_path, *argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"boxmode {argv[0]} {argv[1]}\n")
+    checks = [line for line in out.splitlines() if line.startswith("CHECK")]
+    assert checks and all(": PASS " in line for line in checks)
+    lines = (tmp_path / csv_name).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+
+
 def test_failed_check_returns_one(tmp_path, capsys):
     # A momentum window far too narrow to hold the spectrum's mass: the
     # normalization check must fail, yet the table is still written.

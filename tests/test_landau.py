@@ -25,7 +25,7 @@ from boxmode import (
     vortex_lattice_constant,
     vortex_state,
 )
-from boxmode.landau import _axis, _centered_axis, guiding_center_count
+from boxmode.landau import _axis, _centered_axis, guiding_center_count, ring_count
 
 RESIDUAL_LIMIT = 1e-3
 
@@ -87,6 +87,9 @@ def test_level_energies(landau):
     for bad in (-1, 0.5, True):
         with pytest.raises(ValueError):
             level_energy(landau, bad)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            ring_radius(landau, bad)
 
 
 def test_gauge_fields():
@@ -322,6 +325,45 @@ def test_guiding_center_count_matches_enumeration(kwargs):
     direction = 1.0 if spec.charge < 0 else -1.0
     tied = replace(spec, Ly=spec.guiding_line(direction * 7 * step))
     assert guiding_center_count(tied) == _enumerated_guiding_lines(tied) == 8
+
+
+def _enumerated_rings(spec):
+    """Reference count: add rings until one no longer fits the disk."""
+    radius = np.sqrt(spec.Lx * spec.Ly / np.pi)
+    count = 0
+    while spec.magnetic_length * np.sqrt(2.0 * count) <= radius:
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"charge": 2.5, "B": 0.7, "Lx": 31.0, "Ly": 17.3},
+        {"charge": -0.4, "light_speed": 3.0, "hbar": 0.6, "Lx": 400.0, "Ly": 250.0},
+        # Lx Ly = 2 pi l^2 K puts ring K exactly on the disk edge (l^2 = c here).
+        {"Lx": np.pi, "Ly": 2.0},
+        {"Lx": np.pi, "Ly": 14.0},
+        {"light_speed": 3.0, "Lx": np.pi, "Ly": 12.0},
+    ],
+)
+def test_ring_count_matches_enumeration(kwargs):
+    spec = LandauSpec(**kwargs)
+    assert ring_count(spec) == _enumerated_rings(spec)
+
+
+def test_degeneracy_at_flux_1e8():
+    # Beyond the 10**7 states a Python enumeration could afford.
+    report = degeneracy(LandauSpec(Lx=1e4, Ly=1e4))
+    assert report.flux_count == 15915494
+    assert report.guiding_center_count == 15915495
+    assert report.ring_count == 15915495
+    # Past 2**53 states neighbouring indices share one float: refuse, not spin.
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        guiding_center_count(LandauSpec(Lx=1e13, Ly=1e13))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        ring_count(LandauSpec(Lx=1e13, Ly=1e13))
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,15 @@ def test_expand_recovers_eigenstate_spikes(spec, n):
     assert abs(result.total_weight() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expand_wide_ladder_stays_complete(spec, n):
+    # Rungs up to |p| a / hbar ~ 800 need more than 256 nodes.
+    result = expand(spec, Eigenfunction(spec, n), matched_phase(n), k_max=512)
+    spike = np.isin(result.indices, eigenstate_spectrum(spec, n).indices)
+    assert abs(result.completeness_defect()) <= 1e-8
+    np.testing.assert_allclose(result.weights[spike], 0.5, atol=1e-12)
+
+
 def test_expand_weight_symmetry(spec):
     # Real states carry equal weight at +p and -p. On the integer ladder
     # (theta = 0) the index range is momentum-symmetric, so the weight
@@ -223,6 +232,13 @@ def test_overlapping_windows_merge(spec):
     direct = quad.integrate(lambda q: analytic_density(spec, 1, q), -3.0 * p1, 3.0 * p1)
     assert wide.mass_in_window == pytest.approx(direct, rel=1e-13)
     assert wide.mass_in_window <= 1.0 + 1e-9
+
+
+def test_wide_window_captures_all_mass(spec):
+    # A window of half-width 1000 spans ~2000 radians of density phase.
+    report = convergence_report(spec, 1, window_half_width=1000.0)
+    assert report.mass_in_window > 0.999999
+    assert report.mass_in_window <= 1.0 + 1e-9
 
 
 def test_window_must_be_positive(spec):

@@ -39,6 +39,12 @@ def test_normalization(spec, n):
     assert normalization_defect(spec, n) < 1e-14
 
 
+@pytest.mark.parametrize("n", [150, 200])
+def test_normalization_at_high_levels(spec, n):
+    # |psi_n|^2 turns through 2 k_n a = n pi radians; 256 nodes alias here.
+    assert normalization_defect(spec, n) <= 1e-9
+
+
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 4), (3, 5), (2, 7)])
 def test_orthogonality(spec, m, n):
     assert abs(state_overlap(spec, m, n)) < 1e-14

@@ -33,7 +33,7 @@ def main():
     print(f"  trapezoid norm on the default grid: {result.norm_trapezoid():.9f}")
     for p in (0.0, spec.spike_momentum(1)):
         print(f"  density at p = {p:.4f}: {analytic_density(spec, 1, p):.9f}")
-    rows = list(zip(result.grid.points, result.density))
+    rows = np.column_stack((result.grid.points, result.density))
     out = write_csv(
         Path(__file__).with_name("ground_momentum_density.csv"),
         ("p", "probability_density"),

@@ -27,7 +27,7 @@ def main():
         sup = np.abs(density - target).max()
         print(f"t={t:>5.0f}   {sup:.3e}")
 
-    rows = list(zip(probes, density, target))
+    rows = np.column_stack((probes, density, target))
     out = write_csv(
         Path(__file__).with_name("farfield_vs_exact.csv"),
         ("p", "rescaled_density", "exact_density"),

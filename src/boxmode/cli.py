@@ -225,7 +225,7 @@ def cmd_well_eigenfunction(args, rc: RunConfig) -> int:
         check("parity-symmetry", parity_defect, 1e-13),
         check("vanishes-at-walls", boundary, 0.0),
     ]
-    rows = list(zip(x, values))
+    rows = np.column_stack((x, values))
     return _emit(args, rc, checks, {"well_eigenfunction.csv": (("x", "psi"), rows)})
 
 
@@ -254,7 +254,7 @@ def cmd_momentum_continuous(args, rc: RunConfig) -> int:
         ),
         check("hermitian-symmetry", hermitian_defect, 1e-12),
     ]
-    rows = list(zip(grid.points, spec_n.density))
+    rows = np.column_stack((grid.points, spec_n.density))
     return _emit(
         args,
         rc,
@@ -305,7 +305,7 @@ def cmd_momentum_compare(args, rc: RunConfig) -> int:
             report.mass_in_window,
         ),
     ]
-    rows = list(zip(continuous.grid.points, continuous.density))
+    rows = np.column_stack((continuous.grid.points, continuous.density))
     spike_rows = [(momentum, weight) for _, momentum, weight in spikes.entries]
     return _emit(
         args,
@@ -337,7 +337,7 @@ def cmd_release_evolve(args, rc: RunConfig) -> int:
         check("energy-conservation", energy_drift, 1e-9),
         check("edge-density", edge, 1e-10 / spec.half_width),
     ]
-    rows = list(zip(snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
+    rows = np.column_stack((snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
     return _emit(
         args,
         rc,
@@ -358,7 +358,7 @@ def cmd_release_farfield(args, rc: RunConfig) -> int:
     p = np.linspace(-probe, probe, 2001)
     density = farfield_map(spec, args.n, args.t, p)
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
-    rows = list(zip(p, density))
+    rows = np.column_stack((p, density))
     checks = [check("farfield-deviation", deviation, 1e-3)]
     return _emit(args, rc, checks, {"release_farfield.csv": (("p", "rescaled_density"), rows)})
 
@@ -391,8 +391,8 @@ def cmd_landau_state(args, rc: RunConfig) -> int:
         check("eigenvalue-residual", residual, 1e-3),
     ]
     X, Y = state.meshes()
-    rows = list(
-        zip(
+    rows = np.column_stack(
+        (
             X.ravel(),
             Y.ravel(),
             state.values.real.ravel(),

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from boxmode import CheckResult, render_report, write_csv
-from boxmode.report import all_passed, check, format_value
+from boxmode import CheckResult, render_report, report, write_csv
+from boxmode.report import CSV_CHUNK_ROWS, all_passed, check, format_value
 
 
 def test_format_int_stays_plain():
@@ -29,6 +33,16 @@ def test_format_rejects_bool():
         format_value(True)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [1 + 2j, np.complex128(1 + 2j), np.complex64(1)],
+    ids=["complex", "complex128", "complex64"],
+)
+def test_format_rejects_complex(value):
+    with pytest.raises(TypeError):
+        format_value(value)
+
+
 def test_write_csv_layout(tmp_path):
     path = write_csv(
         tmp_path / "t.csv", ("n", "value"), [(1, 0.5), (2, 0.25)], digits=3
@@ -38,8 +52,9 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_write_csv_empty_table_keeps_header(tmp_path):
-    path = write_csv(tmp_path / "empty.csv", ("a", "b"), [])
-    assert path.read_text(encoding="utf-8") == "a,b\n"
+    for rows in ([], np.empty((0, 2))):
+        path = write_csv(tmp_path / "empty.csv", ("a", "b"), rows)
+        assert path.read_text(encoding="utf-8") == "a,b\n"
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
@@ -47,28 +62,94 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
         write_csv(tmp_path / "bad.csv", ("a", "b"), [(1, 2, 3)])
 
 
-def test_write_csv_is_deterministic(tmp_path):
-    rows = [(k, np.sqrt(k)) for k in range(1, 40)]
-    first = write_csv(tmp_path / "one.csv", ("k", "root"), rows).read_bytes()
-    second = write_csv(tmp_path / "two.csv", ("k", "root"), rows).read_bytes()
-    assert first == second
+@pytest.mark.parametrize("rows", [[(1, 2)], np.ones((1, 2))], ids=["tuples", "array"])
+@pytest.mark.parametrize("header", [("a,b", "c"), ("a", "b\nc")])
+def test_write_csv_rejects_separators_in_header(tmp_path, rows, header):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, header, rows)
+    assert not path.exists()
 
 
-def test_check_lines():
-    good = check("unitarity", residual=1e-14, limit=1e-9)
-    bad = check("unitarity", residual=1e-3, limit=1e-9)
-    assert good.passed and not bad.passed
-    assert good.line(digits=3) == "CHECK unitarity: PASS (residual=1.000e-14)"
-    assert bad.line(digits=3).startswith("CHECK unitarity: FAIL")
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (np.ones((3, 2), dtype=bool), TypeError),
+        (np.ones((3, 2), dtype=complex), TypeError),
+        (np.array([["x", "y"]]), TypeError),
+        (np.array([[1.0, None]], dtype=object), TypeError),
+        (np.ones(2), ValueError),
+        (np.ones((1, 2, 1)), ValueError),
+        (np.ones((3, 3)), ValueError),
+    ],
+    ids=["bool", "complex", "string", "object", "1-d", "3-d", "wrong-width"],
+)
+def test_write_csv_rejects_unwritable_arrays(tmp_path, rows, error):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
 
 
-def test_render_report_and_all_passed():
-    checks = [
-        CheckResult(name="one", passed=True, residual=0.0),
-        CheckResult(name="two", passed=False, residual=2.0),
-    ]
-    text = render_report("demo", checks, digits=2)
-    assert text.splitlines()[0] == "demo"
-    assert "CHECK two: FAIL" in text
-    assert not all_passed(checks)
-    assert all_passed(checks[:1])
+_SPECIAL = {
+    "float64": [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 9.5, 0.125],
+    "float32": [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1.2e-40, 1.17549435e-38,
+                3.4028235e38, 0.5, 9.5],
+    "int64": [0, -1, 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+}
+
+
+def _table(dtype: str, n_rows: int, width: int, seed: int) -> np.ndarray:
+    """Random cells of every magnitude the dtype holds, salted with its edge values."""
+    rng = np.random.default_rng(seed)
+    size = n_rows * width
+    if dtype == "int64":
+        info = np.iinfo(np.int64)
+        cells = rng.integers(info.min, info.max, size, endpoint=True)
+    else:
+        lo, hi = (-320, 300) if dtype == "float64" else (-45, 37)
+        cells = (rng.standard_normal(size) * 10.0 ** rng.integers(lo, hi, size)).astype(dtype)
+    special = np.array(_SPECIAL[dtype], dtype=dtype)
+    salt = rng.random(size) < 0.2
+    cells[salt] = rng.choice(special, int(salt.sum()))
+    return cells.reshape(n_rows, width)
+
+
+def _assert_forms_agree(directory, table, digits):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    fast = write_csv(directory / "array.csv", header, table, digits).read_bytes()
+    rows = [tuple(r) for r in table.tolist()]
+    slow = write_csv(directory / "rows.csv", header, rows, digits).read_bytes()
+    assert fast == slow
+    assert fast.count(b"\n") == len(table) + 1
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    dtype=st.sampled_from(sorted(_SPECIAL)),
+    chunk=st.integers(1, 6),
+    rows_past_chunk=st.sampled_from([None, -1, 0, 1, 4]),
+    small_rows=st.integers(0, 20),
+    width=st.integers(1, 4),
+    digits=st.integers(1, 17),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_rows_match_tuple_rows(
+    tmp_path, dtype, chunk, rows_past_chunk, small_rows, width, digits, seed
+):
+    # A small chunk puts every boundary case (0, 1, chunk - 1, chunk,
+    # chunk + 1 rows, several chunks) within reach of cheap examples.
+    n_rows = small_rows if rows_past_chunk is None else chunk + rows_past_chunk
+    with mock.patch.object(report, "CSV_CHUNK_ROWS", chunk):
+        _assert_forms_agree(tmp_path, _table(dtype, n_rows, width, seed), digits)
+
+
+@pytest.mark.parametrize("n_rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("dtype", sorted(_SPECIAL))
+def test_array_rows_match_tuple_rows_at_chunk_size(tmp_path, dtype, n_rows):
+    _assert_forms_agree(tmp_path, _table(dtype, n_rows, 2, seed=n_rows), digits=12)

@@ -62,6 +62,33 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
         write_csv(tmp_path / "bad.csv", ("a", "b"), [(1, 2, 3)])
 
 
+def test_write_csv_is_deterministic(tmp_path):
+    rows = [(k, np.sqrt(k)) for k in range(1, 40)]
+    first = write_csv(tmp_path / "one.csv", ("k", "root"), rows).read_bytes()
+    second = write_csv(tmp_path / "two.csv", ("k", "root"), rows).read_bytes()
+    assert first == second
+
+
+def test_check_lines():
+    good = check("unitarity", residual=1e-14, limit=1e-9)
+    bad = check("unitarity", residual=1e-3, limit=1e-9)
+    assert good.passed and not bad.passed
+    assert good.line(digits=3) == "CHECK unitarity: PASS (residual=1.000e-14)"
+    assert bad.line(digits=3).startswith("CHECK unitarity: FAIL")
+
+
+def test_render_report_and_all_passed():
+    checks = [
+        CheckResult(name="one", passed=True, residual=0.0),
+        CheckResult(name="two", passed=False, residual=2.0),
+    ]
+    text = render_report("demo", checks, digits=2)
+    assert text.splitlines()[0] == "demo"
+    assert "CHECK two: FAIL" in text
+    assert not all_passed(checks)
+    assert all_passed(checks[:1])
+
+
 @pytest.mark.parametrize("rows", [[(1, 2)], np.ones((1, 2))], ids=["tuples", "array"])
 @pytest.mark.parametrize("header", [("a,b", "c"), ("a", "b\nc")])
 def test_write_csv_rejects_separators_in_header(tmp_path, rows, header):

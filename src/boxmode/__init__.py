@@ -6,7 +6,7 @@ setup (`WellSpec`, `LandauSpec`) and free functions that compute spectra,
 evolutions, and consistency checks from them.
 """
 
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, ResolutionError
 from .well import Eigenfunction, WellSpec, eigenfunction, normalization_defect, state_overlap
 from .momentum_continuous import (
     ContinuousMomentumSpectrum,
@@ -39,7 +39,6 @@ from .landau import (
     GaugeField,
     GridField2D,
     LandauSpec,
-    ResolutionError,
     apply_hamiltonian,
     commutator_check,
     conductance_quantum,
@@ -48,7 +47,6 @@ from .landau import (
     gaussian_test_state,
     hall_current,
     hamiltonian_residual,
-    hermite,
     landau_gauge,
     landau_gauge_state,
     level_energy,
@@ -99,7 +97,6 @@ __all__ = [
     "grid_kinetic_energy",
     "hall_current",
     "hamiltonian_residual",
-    "hermite",
     "landau_gauge",
     "landau_gauge_state",
     "level_energy",

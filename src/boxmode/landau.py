@@ -1,9 +1,10 @@
 """Landau levels of a charged particle on a rectangle.
 
-States are sampled on uniform 2-D grids and checked against the magnetic
-Hamiltonian with 4th-order finite-difference stencils: level energies,
-canonical-momentum commutators, level degeneracy counted three independent
-ways, and the Hall response carried by one filled level.
+States are built from their closed forms, sampled on uniform 2-D grids and
+checked against the magnetic Hamiltonian with 4th-order finite-difference
+stencils: level energies, canonical-momentum commutators, level degeneracy
+counted three independent ways, and the Hall response carried by one filled
+level.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-class ResolutionError(ValueError):
-    """The grid is too coarse for the requested finite-difference check."""
+from .quadrature import ResolutionError
 
 
 @dataclass(frozen=True)
@@ -185,23 +184,6 @@ def field_overlap(f: GridField2D, g: GridField2D) -> complex:
     return complex(np.sum(np.conj(f.values) * g.values) * f.dx * f.dy)
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial by the three-term recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}. Rejects negative
-    orders.
-    """
-    _check_index(n, "order")
-    x = np.asarray(x, dtype=float)
-    previous = np.ones_like(x)
-    if n == 0:
-        return float(previous) if previous.ndim == 0 else previous
-    current = 2.0 * x
-    for k in range(1, n):
-        previous, current = current, 2.0 * x * current - 2.0 * k * previous
-    return float(current) if current.ndim == 0 else current
-
-
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     count = int(np.ceil((hi - lo) / step))
     return np.linspace(lo, hi, count + 1)
@@ -218,11 +200,11 @@ def landau_gauge_state(
 ) -> GridField2D:
     """Level-n eigenstate in the landau gauge: plane wave times a ridge.
 
-    The state e^{i p_x x / hbar} times an oscillator profile in y, centered
-    on the guiding line y = -c p_x / (charge B). Warns when that line lies
-    outside [0, Ly], where the default grid cannot hold the ridge. The grid
-    defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass a custom
-    (x, y) pair to study the state on its own support.
+    The state e^{i p_x x / hbar} times the n-th Hermite function in y,
+    centered on the guiding line y = -c p_x / (charge B). Warns when that
+    line lies outside [0, Ly], where the default grid cannot hold the ridge.
+    The grid defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass
+    a custom (x, y) pair to study the state on its own support.
     """
     _check_index(n, "level")
     length = spec.magnetic_length
@@ -239,36 +221,30 @@ def landau_gauge_state(
     x, y = grid
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
     xi = (Y - y_guide) / length
-    profile = hermite(int(n), xi) * np.exp(-0.5 * xi**2)
+    # h_{k+1} = (2 xi h_k - sqrt(2k) h_{k-1}) / sqrt(2(k+1)) never overflows
+    # (Bunck, BIT 49, 281 (2009)); ``profile`` holds sqrt(2k) h_k.
+    previous, profile = 0.0, np.exp(-0.5 * xi**2)
+    for k in range(int(n)):
+        h_k = profile / np.sqrt(max(2.0 * k, 1.0))
+        previous, profile = h_k, 2.0 * xi * h_k - np.sqrt(2.0 * k) * previous
     values = np.exp(1j * p_x * X / spec.hbar) * profile
     return _normalized_field(x, y, values)
 
 
-def _ladder_polynomial(level: int, angular: int) -> dict[tuple[int, int], complex]:
-    """Monomial coefficients {(i, j): c} over zeta^i conj(zeta)^j.
+def _ring_extent(spec: LandauSpec, n: int, angular: int) -> float:
+    return (np.sqrt(2.0 * (n + angular)) + 6.0) * spec.magnetic_length
 
-    Starting from 1 (the Gaussian ground state's polynomial part), apply the
-    level-raising operator (acting as P -> 2 conj(zeta) P - dP/dzeta on the
-    polynomial) ``level`` times and the degeneracy-raising operator
-    (P -> 2 zeta P - dP/dconj(zeta)) ``angular`` times. The two commute, so
-    the order is immaterial.
-    """
-    poly: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
-    for _ in range(level):
-        nxt: dict[tuple[int, int], complex] = {}
-        for (i, j), c in poly.items():
-            nxt[(i, j + 1)] = nxt.get((i, j + 1), 0.0) + 2.0 * c
-            if i:
-                nxt[(i - 1, j)] = nxt.get((i - 1, j), 0.0) - i * c
-        poly = nxt
-    for _ in range(angular):
-        nxt = {}
-        for (i, j), c in poly.items():
-            nxt[(i + 1, j)] = nxt.get((i + 1, j), 0.0) + 2.0 * c
-            if j:
-                nxt[(i, j - 1)] = nxt.get((i, j - 1), 0.0) - j * c
-        poly = nxt
-    return poly
+
+def _power_times_gaussian(w: np.ndarray, power: int, r2: np.ndarray) -> np.ndarray:
+    """w**power * exp(-r2) up to a positive factor, |w|^2 = r2: 32 powers at a
+    time, each with its share of the Gaussian and a power-of-two rescale."""
+    batches = max(1, (power + 31) // 32)
+    values = np.ones_like(w)
+    for i in range(batches):
+        values *= w ** (power * (i + 1) // batches - power * i // batches)
+        values *= np.exp(-r2 / batches)
+        values *= 2.0 ** -np.frexp(np.abs(values).max())[1]
+    return values
 
 
 def symmetric_gauge_state(
@@ -279,20 +255,19 @@ def symmetric_gauge_state(
 ) -> GridField2D:
     """Level-n state with ring index ``angular`` in the symmetric gauge.
 
-    Built by symbolic ladder recurrences on the polynomial multiplying the
-    Gaussian exp(-|zeta|^2), where zeta = (x - i y) / (2 magnetic_length)
-    for negative charge (and its conjugate for positive charge, so the
-    raising algebra closes either way); the result is then sampled and
-    normalized numerically. The ring index moves probability outward along
-    rings of radius magnetic_length * sqrt(2 * angular) without changing
-    the energy.
+    The closed form w^|m-n| L_min(n,m)^|m-n|(2|zeta|^2) exp(-|zeta|^2)
+    (Landau & Lifshitz, QM section 112) with m = angular, w = zeta if m >= n
+    else conj(zeta), zeta = (x - i y) / (2 magnetic_length) for negative
+    charge (its conjugate for positive), and the ladder operators' sign
+    (-1)^min(n, m); sampled and normalized numerically. The ring index
+    moves probability outward along rings of radius
+    magnetic_length * sqrt(2 * angular) without changing the energy.
     """
     _check_index(n, "level")
     _check_index(angular, "angular")
     length = spec.magnetic_length
     if grid is None:
-        extent = (np.sqrt(2.0 * (n + angular)) + 6.0) * length
-        axis = _centered_axis(extent, length / 8.0)
+        axis = _centered_axis(_ring_extent(spec, n, angular), length / 8.0)
         grid = (axis, axis)
     x, y = grid
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
@@ -300,12 +275,16 @@ def symmetric_gauge_state(
         zeta = (X - 1j * Y) / (2.0 * length)
     else:
         zeta = (X + 1j * Y) / (2.0 * length)
-    zbar = np.conj(zeta)
-    poly = np.zeros_like(zeta)
-    for (i, j), c in _ladder_polynomial(int(n), int(angular)).items():
-        poly = poly + c * zeta**i * zbar**j
-    values = poly * np.exp(-np.abs(zeta) ** 2)
-    return _normalized_field(x, y, values)
+    order, alpha = min(n, angular), abs(angular - n)
+    r2 = np.abs(zeta) ** 2
+    values = _power_times_gaussian(zeta if angular >= n else np.conj(zeta), alpha, r2)
+    # sqrt(k! / (k + alpha)!) L_k^alpha(2 r2) by its three-term recurrence.
+    previous = 0.0
+    for k in range(order):
+        previous, values = values, (
+            (2 * k + 1 + alpha - 2.0 * r2) * values - np.sqrt(k * (k + alpha)) * previous
+        ) / np.sqrt((k + 1) * (k + 1 + alpha))
+    return _normalized_field(x, y, (-1) ** order * values)
 
 
 def vortex_state(
@@ -478,10 +457,17 @@ class DegeneracyReport(NamedTuple):
         return max(counts) - min(counts)
 
 
-# Past 2**53 neighbouring indices round to the same float, and stepping from
-# a count's closed-form estimate to its exact boundary would no longer settle
-# within a few steps.
-_COUNT_LIMIT = 2.0**53
+def _count_from(estimate: float, fits, what: str) -> int:
+    """1 + the largest index that ``fits``, stepped to from floor(estimate);
+    past 2**53, where neighbouring indices share a float, it raises."""
+    if not estimate < 2.0**53:
+        raise ValueError(f"{estimate:.3e} {what} exceed the float64 index limit 2**53")
+    j = int(estimate)
+    while fits(j + 1):
+        j += 1
+    while not fits(j):
+        j -= 1
+    return j + 1
 
 
 def guiding_center_count(spec: LandauSpec) -> int:
@@ -500,14 +486,7 @@ def guiding_center_count(spec: LandauSpec) -> int:
         return spec.guiding_line(direction * j * step) <= spec.Ly
 
     estimate = spec.Ly * abs(spec.charge) * spec.B / (spec.light_speed * step)
-    if not estimate < _COUNT_LIMIT:
-        raise ValueError(f"{estimate:.3e} guiding lines exceed the float64 index limit 2**53")
-    j = int(estimate)
-    while inside(j + 1):
-        j += 1
-    while not inside(j):
-        j -= 1
-    return j + 1
+    return _count_from(estimate, inside, "guiding lines")
 
 
 def ring_count(spec: LandauSpec) -> int:
@@ -523,15 +502,7 @@ def ring_count(spec: LandauSpec) -> int:
     def fits(c):
         return length * np.sqrt(2.0 * c) <= radius
 
-    estimate = radius**2 / (2.0 * length**2)
-    if not estimate < _COUNT_LIMIT:
-        raise ValueError(f"{estimate:.3e} rings exceed the float64 index limit 2**53")
-    c = int(estimate)
-    while fits(c + 1):
-        c += 1
-    while not fits(c):
-        c -= 1
-    return c + 1
+    return _count_from(radius**2 / (2.0 * length**2), fits, "rings")
 
 
 def degeneracy(spec: LandauSpec) -> DegeneracyReport:

@@ -1,7 +1,27 @@
+import time
+
 import numpy as np
 import pytest
 
-from boxmode.cli import ConfigError, RunConfig, parse_config, run
+from boxmode import (
+    LandauSpec,
+    ResolutionError,
+    hamiltonian_residual,
+    landau_gauge,
+    landau_gauge_state,
+    level_energy,
+)
+from boxmode.cli import (
+    PROBE_BUDGET,
+    ConfigError,
+    RunConfig,
+    _probe_step,
+    _ridge_residual,
+    _ring_residual,
+    parse_config,
+    run,
+)
+from boxmode.landau import _axis, _centered_axis
 
 
 def run_in(tmp_path, *argv):
@@ -96,6 +116,21 @@ def test_momentum_compare_writes_sidecar(tmp_path):
             "x,y,psi_re,psi_im,density",
         ),
         (("landau", "checks"), "landau_checks.csv", "check,residual"),
+        # Levels and rings whose residual probe must be finer than l/8.
+        *(
+            (("landau", "state", "--level", level), "landau_state.csv", "x,y,psi_re,psi_im,density")
+            for level in ("10", "40", "120", "200")
+        ),
+        *(
+            (
+                ("landau", "state", "--gauge", "symmetric", "--level", n, "--angular", m),
+                "landau_state.csv",
+                "x,y,psi_re,psi_im,density",
+            )
+            for n, m in (("8", "3"), ("15", "30"), ("20", "40"), ("30", "60"))
+        ),
+        # A guiding line mid-patch: the ridge's plane wave turns at 5 / l along x.
+        (("landau", "state", "--p-x", "5"), "landau_state.csv", "x,y,psi_re,psi_im,density"),
     ],
 )
 def test_leaf_runs_with_every_check_passing(tmp_path, capsys, argv, csv_name, header):
@@ -128,6 +163,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("release", "farfield", "--probe-max", "0"),
         ("nonsense",),
         ("well", "nonsense"),
+        ("landau", "state", "--level", "5000"),
+        ("landau", "state", "--gauge", "symmetric", "--level", "60", "--angular", "30"),
     ],
 )
 def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
@@ -135,6 +172,52 @@ def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
     capsys.readouterr()
     assert code == 2
     assert not (tmp_path / "sub").exists()
+
+
+def test_momentum_continuous_past_node_budget(tmp_path, capsys):
+    # n = 1000 would need a 16,642-node rule; its leggauss matrix alone is 2.2 GB.
+    start = time.perf_counter()
+    code = run_in(tmp_path / "sub", "momentum", "continuous", "--n", "1000")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "budget 2048" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+    assert elapsed < 1.0
+
+
+def test_probe_step_follows_level_and_ring_index():
+    spec = LandauSpec.natural()
+    levels = (0, 1, 10, 40, 120, 200)
+    steps = [_probe_step(spec, 2 * n + 1, 8.0, columns=33) for n in levels]
+    assert [round(1.0 / 8.0 / step) for step in steps] == [1, 1, 2, 8, 16, 16]
+    # A ring sizes from the larger of its level and its ring index.
+    assert [_probe_step(spec, w, 8.0) for w in (3, 31, 61)] == [1.0 / 8.0, 1.0 / 32.0, 1.0 / 32.0]
+
+
+@pytest.mark.parametrize("field", [0.8, 2.5])
+def test_low_level_probes_keep_the_eighth_length_ridge_grid(field):
+    # Levels 0 and 1 probe exactly the grid `landau checks` always used.
+    spec = LandauSpec.natural(B=field)
+    length, p_x = spec.magnetic_length, 0.5 * spec.hbar / spec.magnetic_length
+    grid = (
+        _axis(0.0, 4.0 * length, length / 8.0),
+        spec.guiding_line(p_x) + _centered_axis(8.0 * length, length / 8.0),
+    )
+    for n in (0, 1):
+        state = landau_gauge_state(spec, n, p_x, grid=grid)
+        expected = hamiltonian_residual(spec, landau_gauge(field), state, level_energy(spec, n))
+        assert _ridge_residual(spec, n, p_x) == expected
+
+
+def test_probe_past_budget_raises():
+    spec = LandauSpec.natural()
+    for probe in (
+        lambda: _ring_residual(spec, 60, 30),
+        lambda: _ring_residual(spec, 0, 400),
+        lambda: _ridge_residual(spec, 5000, 0.5),
+    ):
+        with pytest.raises(ResolutionError, match=f"exceeds {PROBE_BUDGET} points"):
+            probe()
 
 
 def test_help_exits_cleanly(capsys):

@@ -14,7 +14,6 @@ from boxmode import (
     gaussian_test_state,
     hall_current,
     hamiltonian_residual,
-    hermite,
     landau_gauge,
     landau_gauge_state,
     level_energy,
@@ -107,21 +106,57 @@ def test_gauge_fields():
         GaugeField(name="radial", B=1.0)
 
 
-def test_hermite_against_numpy(rng):
-    x = rng.uniform(-4.0, 4.0, 50)
-    for n in range(13):
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        expected = np.polynomial.hermite.hermval(x, coeffs)
-        np.testing.assert_allclose(hermite(n, x), expected, rtol=1e-12, atol=1e-9)
+def _fitted_deviation(values, reference):
+    """Sup deviation of values from its least-squares multiple of reference,
+    relative to the reference's sup, and that multiple."""
+    scale = np.vdot(reference, values) / np.vdot(reference, reference)
+    return np.abs(values - scale * reference).max() / np.abs(scale * reference).max(), scale
 
 
-def test_hermite_frozen_value_and_validation():
-    assert hermite(2, 0.3) == pytest.approx(-1.64, rel=1e-15)
-    with pytest.raises(ValueError):
-        hermite(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite(True, 0.0)
+def test_ridge_profiles_match_mpmath_hermite_functions(landau):
+    """The ridge is the n-th Hermite function H_n(xi) exp(-xi^2/2) up to a
+    positive constant, even where H_n alone overflows (n = 200)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    xi = np.linspace(-25.0, 25.0, 161)
+    for n in (0, 1, 2, 5, 13, 40, 120, 200):
+        state = landau_gauge_state(landau, n, 0.0, grid=(np.arange(5.0), xi))
+        reference = np.array(
+            [float(mpmath.hermite(n, v) * mpmath.exp(-(mpmath.mpf(v) ** 2) / 2)
+                   / mpmath.sqrt(2**n * mpmath.factorial(n))) for v in xi]
+        )
+        deviation, scale = _fitted_deviation(state.values[0], reference)
+        assert deviation < 1e-13, n
+        assert scale.real > 0 and abs(scale.imag) < 1e-12 * abs(scale)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            landau_gauge_state(landau, bad, 0.0)
+
+
+@pytest.mark.parametrize("n, angular", [(8, 3), (30, 60)])
+def test_ring_states_match_mpmath_laguerre_form(landau, n, angular):
+    """zeta^(m-n) L_n^(m-n)(2|zeta|^2) e^(-|zeta|^2), with conj(zeta) and
+    L_m^(n-m) when n > m, times the ladder operators' sign (-1)^min(n, m)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50  # the alternating Laguerre sum cancels ~15 digits at (30, 60)
+    length = landau.magnetic_length
+    axis = np.linspace(-19.5, 19.5, 27) * length
+    state = symmetric_gauge_state(landau, n, angular, grid=(axis, axis))
+    k, alpha = min(n, angular), abs(angular - n)
+    reference = np.empty((axis.size, axis.size), dtype=complex)
+    for i, x in enumerate(axis):
+        for j, y in enumerate(axis):
+            zeta = mpmath.mpc(x, -y) / (2 * length)  # negative charge
+            w = zeta if angular >= n else mpmath.conj(zeta)
+            t = 2 * abs(zeta) ** 2
+            laguerre = sum(
+                (-1) ** q * mpmath.binomial(k + alpha, k - q) * t**q / mpmath.factorial(q)
+                for q in range(k + 1)
+            )
+            reference[i, j] = complex((-1) ** k * w**alpha * laguerre * mpmath.exp(-t / 2))
+    deviation, scale = _fitted_deviation(state.values, reference)
+    assert deviation < 1e-13
+    assert scale.real > 0 and abs(scale.imag) < 1e-12 * abs(scale)
 
 
 def test_grid_field_contracts():

@@ -125,8 +125,8 @@ class GridField2D:
     """A normalized complex field on a uniform rectangular grid.
 
     ``values[i, j]`` is the field at ``(x[i], y[j])``. Construction rejects
-    non-uniform axes and fields whose discrete norm strays from 1 by more
-    than 1e-10.
+    non-uniform axes and fields whose discrete norm is not within 1e-10 of
+    1, a NaN norm included.
     """
 
     x: np.ndarray
@@ -146,7 +146,7 @@ class GridField2D:
                 f"({self.x.size}, {self.y.size})"
             )
         norm = self.norm()
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"field norm is {norm:.12f}, expected 1 within 1e-10")
 
     @property

@@ -62,24 +62,55 @@ def amplitude_transform(spec: WellSpec, n: int, p):
     return _box_transform(spec, psi, p, psi.wavenumber * spec.half_width)
 
 
+# Rows of a box-transform kernel built at once: a block holds 4 MiB of complex
+# entries at the default 256 nodes and 32 MiB at the 2048-node budget, however
+# many momenta are asked for.
+KERNEL_ROWS = 1024
+
+
+def _in_row_blocks(rows: np.ndarray, block) -> np.ndarray:
+    """``block(rows[i:j])`` for consecutive slices of at most KERNEL_ROWS rows,
+    gathered into one complex array.
+
+    A one-row slice would take numpy's single-row matmul path, which rounds
+    differently from the multi-row one, so a one-row tail joins the slice
+    before it; each row's value is then bitwise independent of the blocking.
+    """
+    out = np.empty(rows.size, dtype=complex)
+    start = 0
+    while start < rows.size:
+        stop = start + KERNEL_ROWS
+        if stop + 1 >= rows.size:
+            stop = rows.size
+        out[start:stop] = block(rows[start:stop])
+        start = stop
+    return out
+
+
 def _box_transform(spec: WellSpec, f, p, f_radians: float):
     """Integral of f(x) e^{-ipx/hbar} / sqrt(2 pi hbar) over the box, at each p.
 
     ``f`` is a vectorized callable on [-a, a] whose phase turns through at
     most ``f_radians`` over a half width. The Gauss-Legendre order is
     ``bandwidth_order`` of that span plus the plane wave's a max|p| / hbar.
-    A scalar p gives a complex scalar, an array p an array of the same shape.
+    The p x order kernel is built, exponentiated in place and applied in row
+    blocks (``_in_row_blocks``), so memory stays bounded for any number of
+    momenta. A scalar p gives a complex scalar, an array p an array of the
+    same shape.
     """
     a = spec.half_width
     p_arr = np.asarray(p, dtype=float)
     p_max = float(np.max(np.abs(p_arr), initial=0.0))
     radians = a * p_max / spec.hbar + f_radians
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
-    # The kernel is the largest array the package builds (20001 x 256
-    # complex is 82 MB); exponentiating in place avoids a second copy.
-    kernel = -1j * np.outer(p_arr.ravel(), x) / spec.hbar
-    np.exp(kernel, out=kernel)
-    values = kernel @ (w * f(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
+    weighted = w * f(x)
+
+    def block(rows):
+        kernel = -1j * np.outer(rows, x) / spec.hbar
+        np.exp(kernel, out=kernel)
+        return kernel @ weighted
+
+    values = _in_row_blocks(p_arr.ravel(), block) / np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:
         return complex(values[0])
     return values.reshape(p_arr.shape)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .momentum_continuous import _in_row_blocks
 from .quadrature import QuadratureSettings, bandwidth_order
 from .well import WellSpec, _check_level
 
@@ -96,6 +97,8 @@ class DiscreteMomentumSpectrum:
         if self.indices.size and np.any(np.diff(self.momenta) <= 0):
             raise ValueError("momenta must be strictly increasing in the ladder index")
         total = float(self.weights.sum())
+        if not np.isfinite(total):
+            raise ValueError(f"weights sum to {total}")
         if total > 1.0 + 1e-12:
             raise ValueError(f"weights sum to {total}, exceeding 1")
 
@@ -122,9 +125,10 @@ def expand(
 
     ``state`` is any callable on position arrays. The Gauss-Legendre order
     is sized to the ladder's top momentum, and the state's norm over the
-    same nodes must be 1 within 1e-6 — a wrong norm, or a state too
+    same nodes must be 1 within 1e-6 — a wrong norm, a NaN, or a state too
     oscillatory for those nodes, would silently corrupt every weight, so it
-    is rejected instead.
+    is rejected instead. The ladder x nodes kernel is built and applied in
+    row blocks, so memory stays bounded for any k_max.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
@@ -134,11 +138,16 @@ def expand(
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     values = np.asarray(state(x), dtype=complex)
     norm = float(np.real(np.conj(values) * values) @ w)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm over the box is {norm:.8f}, expected 1 within 1e-6")
 
-    kernel = np.exp(-1j * np.outer(momenta, x) / spec.hbar) / np.sqrt(2.0 * a)
-    coefficients = kernel @ (w * values)
+    weighted = w * values
+
+    def block(rows):
+        kernel = np.exp(-1j * np.outer(rows, x) / spec.hbar) / np.sqrt(2.0 * a)
+        return kernel @ weighted
+
+    coefficients = _in_row_blocks(momenta, block)
     return DiscreteMomentumSpectrum(
         phase=phase,
         indices=ks,

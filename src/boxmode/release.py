@@ -41,7 +41,7 @@ class EvolutionSnapshot:
         if self.x.size < 2:
             raise ValueError("a snapshot needs at least two samples")
         norm = float(np.sum(np.abs(self.psi) ** 2) * self.dx)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"snapshot norm is {norm:.8f}, expected 1 within 1e-6")
 
     @property

@@ -10,6 +10,7 @@ from boxmode import (
     landau_gauge,
     landau_gauge_state,
     level_energy,
+    symmetric_gauge_state,
 )
 from boxmode.cli import (
     PROBE_BUDGET,
@@ -207,6 +208,24 @@ def test_low_level_probes_keep_the_eighth_length_ridge_grid(field):
         state = landau_gauge_state(spec, n, p_x, grid=grid)
         expected = hamiltonian_residual(spec, landau_gauge(field), state, level_energy(spec, n))
         assert _ridge_residual(spec, n, p_x) == expected
+
+
+def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return symmetric_gauge_state(*args, **kwargs)
+
+    monkeypatch.setattr("boxmode.cli.symmetric_gauge_state", counted)
+    argv = ("landau", "state", "--gauge", "symmetric", "--level", "3", "--angular", "8")
+    assert run_in(tmp_path, *argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # The reused state gives the residual a fresh build on the probe grid gives.
+    spec = LandauSpec.natural()
+    state = symmetric_gauge_state(spec, 3, 8)
+    assert _ring_residual(spec, 3, 8, state) == _ring_residual(spec, 3, 8)
 
 
 def test_probe_past_budget_raises():

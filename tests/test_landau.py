@@ -177,6 +177,12 @@ def test_grid_field_contracts():
         GridField2D(x=ragged, y=y, values=good)
 
 
+def test_grid_field_rejects_nan():
+    x = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match="field norm is nan"):
+        GridField2D(x=x, y=x, values=np.full((9, 9), np.nan, dtype=complex))
+
+
 @pytest.mark.parametrize("n, k", [(0, 0.0), (0, 0.5), (0, 1.0), (1, 0.5)])
 def test_ridge_states_are_eigenstates(landau, n, k):
     """Plane-wave-times-profile states solve the eigenproblem on the grid to

@@ -1,18 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmode import (
+    Eigenfunction,
     MomentumGrid,
+    QuadratureSettings,
     WellSpec,
     amplitude_transform,
     analytic_density,
     default_grid,
     eigenfunction,
+    farfield_map,
     spectrum,
     uncertainty_product,
 )
+from boxmode.momentum_continuous import KERNEL_ROWS
+from boxmode.quadrature import bandwidth_order
 
 # Ground-state landmarks in natural units (a = m = hbar = 1), frozen from
 # the closed forms 4/(pi sqrt(2 pi)), 8/pi^3 and 1/(2 pi).
@@ -184,3 +191,58 @@ def test_custom_units_peak_density():
     quad = abs(amplitude_transform(custom, 1, 0.3 * p1)) ** 2
     closed = analytic_density(custom, 1, 0.3 * p1)
     assert quad == pytest.approx(closed, abs=1e-13)
+
+
+def one_shot_transform(spec, f, p, f_radians):
+    """The box transform with the whole p x order kernel built at once."""
+    a = spec.half_width
+    p_arr = np.asarray(p, dtype=float)
+    radians = a * float(np.max(np.abs(p_arr), initial=0.0)) / spec.hbar + f_radians
+    x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
+    kernel = -1j * np.outer(p_arr.ravel(), x) / spec.hbar
+    np.exp(kernel, out=kernel)
+    return kernel @ (w * f(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
+
+
+# Row-block boundaries (a one-row tail included) and the benchmark's 20001.
+BLOCK_COUNTS = [0, KERNEL_ROWS - 1, KERNEL_ROWS, KERNEL_ROWS + 1, 2 * KERNEL_ROWS + 1, 20001]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_blocked_transform_is_bitwise_one_shot(spec, count):
+    psi = Eigenfunction(spec, 3)
+    radians = psi.wavenumber * spec.half_width
+    p = np.linspace(-90.0, 90.0, count)
+    expected = one_shot_transform(spec, psi, p, radians)
+    assert np.array_equal(amplitude_transform(spec, 3, p), expected)
+    scalar = complex(one_shot_transform(spec, psi, 1.5, radians)[0])
+    assert amplitude_transform(spec, 3, 1.5) == scalar
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_blocked_farfield_is_bitwise_one_shot(spec, count):
+    t, psi = 20.0, Eigenfunction(spec, 2)
+    a, m, hbar = spec.half_width, spec.mass, spec.hbar
+
+    def chirped(x):
+        return psi(x) * np.exp(1j * m * x**2 / (2.0 * hbar * t))
+
+    p = np.linspace(-40.0, 40.0, count)
+    radians = a * (m * a / t) / hbar + psi.wavenumber * a
+    expected = np.abs(one_shot_transform(spec, chirped, p, radians)) ** 2
+    assert np.array_equal(farfield_map(spec, 2, t, p), expected)
+    scalar = np.abs(one_shot_transform(spec, chirped, 1.5, radians)[0]) ** 2
+    assert farfield_map(spec, 2, t, 1.5) == scalar
+
+
+def test_transform_memory_does_not_grow_with_probe_count(spec):
+    """20001 probes against 256 nodes make an 82 MB kernel; built in row
+    blocks, the peak stays near one block's few MiB."""
+    p = np.linspace(-300.0, 300.0, 20001)
+    tracemalloc.start()
+    try:
+        amplitude_transform(spec, 3, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

@@ -16,6 +16,7 @@ from boxmode import (
     expand,
     matched_phase,
 )
+from boxmode.quadrature import bandwidth_order
 
 # Window mass captured around the two spikes (default window, natural
 # units), frozen from 256-node quadrature of the closed-form density.
@@ -133,6 +134,23 @@ def test_expand_rejects_unnormalized_state(spec):
         expand(spec, lambda x: np.ones_like(x), matched_phase(1), k_max=4)
 
 
+def test_expand_rejects_nan_state(spec):
+    with pytest.raises(ValueError, match="norm over the box is nan"):
+        expand(spec, lambda x: np.full_like(x, np.nan), matched_phase(1), k_max=4)
+
+
+@pytest.mark.parametrize("k_max", [0, 511, 512, 1024])
+def test_blocked_expand_is_bitwise_one_shot(spec, k_max):
+    """k_max = 512 is one full row block plus a one-row tail."""
+    state, phase = Eigenfunction(spec, 2), matched_phase(2)
+    a = spec.half_width
+    _, momenta = allowed_momenta(spec, phase, k_max)
+    x, w = QuadratureSettings(bandwidth_order(a * np.abs(momenta).max() / spec.hbar)).nodes(-a, a)
+    kernel = np.exp(-1j * np.outer(momenta, x) / spec.hbar) / np.sqrt(2.0 * a)
+    expected = kernel @ (w * np.asarray(state(x), dtype=complex))
+    assert np.array_equal(expand(spec, state, phase, k_max).coefficients, expected)
+
+
 def test_expand_rejects_negative_k_max(spec):
     with pytest.raises(ValueError):
         expand(spec, Eigenfunction(spec, 1), matched_phase(1), k_max=-2)
@@ -156,6 +174,14 @@ def test_spectrum_contract_violations(spec):
             momenta=np.array([1.0, -1.0]),
             weights=np.array([0.5, 0.5]),
             coefficients=np.array([0.7, 0.7]),
+        )
+    with pytest.raises(ValueError, match="weights sum to nan"):
+        DiscreteMomentumSpectrum(
+            phase=phase,
+            indices=ks,
+            momenta=np.array([-1.0, 1.0]),
+            weights=np.array([np.nan, 0.5]),
+            coefficients=np.array([np.nan, 0.7]),
         )
     with pytest.raises(ValueError, match="exceeding"):
         DiscreteMomentumSpectrum(

@@ -49,6 +49,12 @@ def test_snapshot_norm_guard():
         EvolutionSnapshot(t=0.0, x=x, psi=psi)
 
 
+def test_snapshot_rejects_nan():
+    x = np.linspace(-4.0, 4.0, 64, endpoint=False)
+    with pytest.raises(ValueError, match="snapshot norm is nan"):
+        EvolutionSnapshot(t=0.0, x=x, psi=np.full(64, np.nan, dtype=complex))
+
+
 @pytest.mark.parametrize("t", [0.5, 3.0])
 def test_norm_conserved(spec, t):
     snapshot = evolve_free(spec, 1, t)

@@ -18,10 +18,7 @@ from boxmode import (
     field_overlap,
     gaussian_test_state,
     hall_current,
-    hamiltonian_residual,
     landau_gauge,
-    landau_gauge_state,
-    level_energy,
     radial_peak,
     ring_radius,
     symmetric_gauge,
@@ -29,16 +26,7 @@ from boxmode import (
     vortex_lattice_constant,
     vortex_state,
 )
-from boxmode.landau import _axis, _centered_axis
-
-
-def ridge_grid(spec, p_x):
-    length = spec.magnetic_length
-    y_guide = spec.guiding_line(p_x)
-    return (
-        _axis(0.0, 4.0 * length, length / 8.0),
-        y_guide + _centered_axis(8.0 * length, length / 8.0),
-    )
+from boxmode.landau import _centered_axis, ridge_residual, ring_residual
 
 
 def main():
@@ -49,13 +37,10 @@ def main():
 
     print("\neigenvalue residuals against the discretized Hamiltonian:")
     for n in (0, 1):
-        p_x = 0.5 * spec.hbar / spec.magnetic_length
-        state = landau_gauge_state(spec, n, p_x, grid=ridge_grid(spec, p_x))
-        r = hamiltonian_residual(spec, landau_gauge(spec.B), state, level_energy(spec, n))
+        r = ridge_residual(spec, n, 0.5 * spec.hbar / spec.magnetic_length)
         print(f"  ridge state, level {n}:      {r:.2e}")
     for angular in range(3):
-        state = symmetric_gauge_state(spec, 0, angular)
-        r = hamiltonian_residual(spec, symmetric_gauge(spec.B), state, level_energy(spec, 0))
+        r = ring_residual(spec, 0, angular)
         print(f"  ring state, angular {angular}:     {r:.2e}")
 
     print("\nring radii versus the sqrt(2 L) law:")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from boxmode import WellSpec, eigenfunction, normalization_defect, state_overlap, write_csv
+from boxmode import Eigenfunction, WellSpec, normalization_defect, state_overlap, write_csv
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
     )
     print(f"{worst:.2e}")
 
-    psi = eigenfunction(spec, 3)
+    psi = Eigenfunction(spec, 3)
     x = np.linspace(-1.2, 1.2, 7)
     print("\nthird state sampled through the walls (exactly zero outside):")
     for xi, vi in zip(x, psi(x)):

@@ -7,7 +7,7 @@ evolutions, and consistency checks from them.
 """
 
 from .quadrature import QuadratureSettings, ResolutionError
-from .well import Eigenfunction, WellSpec, eigenfunction, normalization_defect, state_overlap
+from .well import Eigenfunction, WellSpec, normalization_defect, state_overlap
 from .momentum_continuous import (
     ContinuousMomentumSpectrum,
     MomentumGrid,
@@ -87,7 +87,6 @@ __all__ = [
     "convergence_report",
     "default_grid",
     "degeneracy",
-    "eigenfunction",
     "eigenstate_spectrum",
     "evolve_free",
     "expand",

@@ -5,7 +5,11 @@ Grammar: ``boxmode <group> <command> [--flag value]...`` with groups
 small report with one ``CHECK name: PASS|FAIL (residual=...)`` line per
 consistency check, writes deterministic CSV files into ``--out``, and exits
 0 when all checks pass, 1 when any fails, and 2 for invalid arguments
-(in which case nothing is written).
+(in which case nothing is written). Float flags must be finite.
+
+``run`` builds the group's spec (``WellSpec``, or ``LandauSpec`` for
+``landau``) and hands it to the leaf's handler, which only computes: it
+returns its checks and tables, and ``run`` prints and writes them.
 """
 
 from __future__ import annotations
@@ -18,13 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .landau import (
-    GridField2D,
     LandauSpec,
-    _axis,
-    _centered_axis,
-    _ring_extent,
     commutator_check,
-    conductance_quantum,
     degeneracy,
     gaussian_test_state,
     hall_current,
@@ -32,6 +31,8 @@ from .landau import (
     landau_gauge,
     landau_gauge_state,
     level_energy,
+    ridge_residual,
+    ring_residual,
     symmetric_gauge,
     symmetric_gauge_state,
 )
@@ -47,7 +48,6 @@ from .momentum_discrete import (
     expand,
     matched_phase,
 )
-from .quadrature import ResolutionError
 from .release import AliasingError, evolve_free, farfield_map, grid_kinetic_energy
 from .report import CheckResult, all_passed, check, write_csv
 from .well import Eigenfunction, WellSpec
@@ -62,7 +62,7 @@ class RunConfig:
     """Resolved run settings: units, output directory, print precision.
 
     Extra parameter sections from a config file ride along as plain string
-    maps, so a config round-trips through text without loss.
+    maps; the spec builders read their unit values from them.
     """
 
     units: str = "natural"
@@ -76,19 +76,6 @@ class RunConfig:
         if not 1 <= int(self.digits) <= 17:
             raise ConfigError(f"digits must lie in 1..17, got {self.digits}")
         self.out = Path(self.out)
-
-    def to_text(self) -> str:
-        lines = [
-            "[global]",
-            f"units = {self.units}",
-            f"digits = {self.digits}",
-            f"out = {self.out}",
-        ]
-        for section in sorted(self.sections):
-            lines.append(f"[{section}]")
-            for key in sorted(self.sections[section]):
-                lines.append(f"{key} = {self.sections[section][key]}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -170,7 +157,7 @@ def _landau_spec(rc: RunConfig, args) -> LandauSpec:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: (args, spec, rc) -> (checks, tables[, info lines])
 
 
 def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
@@ -194,8 +181,7 @@ def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
     return 0 if all_passed(checks) else 1
 
 
-def cmd_well_energies(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
     levels = range(1, args.n_max + 1)
@@ -210,11 +196,10 @@ def cmd_well_energies(args, rc: RunConfig) -> int:
         check("quadratic-ladder", ratio_defect, 1e-12),
     ]
     rows = [(n, e) for n, e in zip(levels, energies)]
-    return _emit(args, rc, checks, {"well_energies.csv": (("n", "energy"), rows)})
+    return checks, {"well_energies.csv": (("n", "energy"), rows)}
 
 
-def cmd_well_eigenfunction(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_well_eigenfunction(args, spec: WellSpec, rc: RunConfig):
     if args.samples < 9 or args.samples % 2 == 0:
         raise ConfigError(f"--samples must be an odd integer >= 9, got {args.samples}")
     psi = Eigenfunction(spec, args.n)
@@ -229,18 +214,12 @@ def cmd_well_eigenfunction(args, rc: RunConfig) -> int:
         check("vanishes-at-walls", boundary, 0.0),
     ]
     rows = np.column_stack((x, values))
-    return _emit(args, rc, checks, {"well_eigenfunction.csv": (("x", "psi"), rows)})
+    return checks, {"well_eigenfunction.csv": (("x", "psi"), rows)}
 
 
-def cmd_momentum_continuous(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
-    if args.p_max is None and args.count == 4001:
-        grid = default_grid(spec, args.n)
-    else:
-        p_max = args.p_max
-        if p_max is None:
-            p_max = default_grid(spec, args.n).p_max
-        grid = MomentumGrid(p_max=p_max, count=args.count)
+def cmd_momentum_continuous(args, spec: WellSpec, rc: RunConfig):
+    p_max = default_grid(spec, args.n).p_max if args.p_max is None else args.p_max
+    grid = MomentumGrid(p_max=p_max, count=args.count)
     spec_n = spectrum(spec, args.n, grid=grid)
     closed_form = analytic_density(spec, args.n, grid.points)
     density_defect = float(np.abs(spec_n.density - closed_form).max())
@@ -258,40 +237,26 @@ def cmd_momentum_continuous(args, rc: RunConfig) -> int:
         check("hermitian-symmetry", hermitian_defect, 1e-12),
     ]
     rows = np.column_stack((grid.points, spec_n.density))
-    return _emit(
-        args,
-        rc,
-        checks,
-        {"momentum_continuous.csv": (("p", "probability_density"), rows)},
-    )
+    return checks, {"momentum_continuous.csv": (("p", "probability_density"), rows)}
 
 
-def cmd_momentum_discrete(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_momentum_discrete(args, spec: WellSpec, rc: RunConfig):
     if args.k_max < 1:
         raise ConfigError(f"--k-max must be at least 1, got {args.k_max}")
     phase = matched_phase(args.n)
     decomposition = expand(spec, Eigenfunction(spec, args.n), phase, args.k_max)
-    exact = eigenstate_spectrum(spec, args.n)
-    spike_indices = set(exact.indices.tolist())
-    spike_defect = 0.0
-    off_spike = 0.0
-    for k, _, weight in decomposition.entries:
-        if k in spike_indices:
-            spike_defect = max(spike_defect, abs(weight - 0.5))
-        else:
-            off_spike = max(off_spike, weight)
+    spike = np.isin(decomposition.indices, eigenstate_spectrum(spec, args.n).indices)
+    weights = decomposition.weights
     checks = [
         check("completeness-defect", decomposition.completeness_defect(), 1e-8),
-        check("spike-weights-half", spike_defect, 1e-12),
-        check("off-spike-weights", off_spike, 1e-12),
+        check("spike-weights-half", np.abs(weights[spike] - 0.5).max(initial=0.0), 1e-12),
+        check("off-spike-weights", weights[~spike].max(initial=0.0), 1e-12),
     ]
     rows = decomposition.entries
-    return _emit(args, rc, checks, {"momentum_discrete.csv": (("k", "momentum", "weight"), rows)})
+    return checks, {"momentum_discrete.csv": (("k", "momentum", "weight"), rows)}
 
 
-def cmd_momentum_compare(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_momentum_compare(args, spec: WellSpec, rc: RunConfig):
     continuous = spectrum(spec, args.n)
     spikes = eigenstate_spectrum(spec, args.n)
     report = convergence_report(spec, args.n, window_half_width=args.window)
@@ -310,20 +275,14 @@ def cmd_momentum_compare(args, rc: RunConfig) -> int:
     ]
     rows = np.column_stack((continuous.grid.points, continuous.density))
     spike_rows = [(momentum, weight) for _, momentum, weight in spikes.entries]
-    return _emit(
-        args,
-        rc,
-        checks,
-        {
-            "momentum_compare.csv": (("p", "continuous_density"), rows),
-            "momentum_compare_spikes.csv": (("momentum", "weight"), spike_rows),
-        },
-        info=info,
-    )
+    tables = {
+        "momentum_compare.csv": (("p", "continuous_density"), rows),
+        "momentum_compare_spikes.csv": (("momentum", "weight"), spike_rows),
+    }
+    return checks, tables, info
 
 
-def cmd_release_evolve(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     if (args.box_length is None) != (args.samples is None):
         raise ConfigError("--box-length and --samples must be given together")
     box = None
@@ -341,16 +300,10 @@ def cmd_release_evolve(args, rc: RunConfig) -> int:
         check("edge-density", edge, 1e-10 / spec.half_width),
     ]
     rows = np.column_stack((snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
-    return _emit(
-        args,
-        rc,
-        checks,
-        {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)},
-    )
+    return checks, {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)}
 
 
-def cmd_release_farfield(args, rc: RunConfig) -> int:
-    spec = _well_spec(rc)
+def cmd_release_farfield(args, spec: WellSpec, rc: RunConfig):
     if args.t <= 0:
         raise ConfigError(f"--t must be positive for the far field, got {args.t}")
     probe = args.probe_max
@@ -363,70 +316,19 @@ def cmd_release_farfield(args, rc: RunConfig) -> int:
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
     rows = np.column_stack((p, density))
     checks = [check("farfield-deviation", deviation, 1e-3)]
-    return _emit(args, rc, checks, {"release_farfield.csv": (("p", "rescaled_density"), rows)})
+    return checks, {"release_farfield.csv": (("p", "rescaled_density"), rows)}
 
 
-# The 4th-order stencils err by about (k h)^4 (k l)^2 / 180 of the level
-# spacing on a wave of wavenumber k = sqrt(waves) / l: waves = 2n + 1 across a
-# level-n ridge and 2 (p_x l / hbar)^2 + 1 along it, and m + 1 for a ring of
-# index m (where the vector potential's term dominates). Halving h = l/8 until
-# waves^3 <= 1000 refine^4 keeps that near the 1e-3 limit (measured residuals
-# are 1.5-2.5 times lower) and leaves the lowest levels and rings on l/8. A
-# probe holds at most PROBE_BUDGET points; apply_hamiltonian keeps about a
-# dozen complex arrays of its size alive, ~400 MB at the budget.
-PROBE_BUDGET = 2**21
-
-
-def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None = None):
-    """The step for ``waves``; raises ResolutionError, before allocating, if an
-    axis over +-extent times ``columns`` (default: itself) passes the budget."""
-    refine = 1
-    while waves**3 > 1000 * refine**4:
-        refine *= 2
-    step = spec.magnetic_length / (8.0 * refine)
-    rows = 2 * int(np.ceil(extent / step)) + 1
-    if rows * (columns or rows) > PROBE_BUDGET:
-        raise ResolutionError(f"a {columns or rows} x {rows} probe exceeds {PROBE_BUDGET} points")
-    return step
-
-
-def _ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
-    """Residual of a level-n ridge over y past its turning points (at least 8 l
-    each way) and 32 steps of x, along which it is a plane wave."""
-    half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
-    waves = max(2 * n + 1, 2.0 * (p_x * spec.magnetic_length / spec.hbar) ** 2 + 1.0)
-    step = _probe_step(spec, waves, half, columns=33)
-    grid = (np.linspace(0.0, 32.0 * step, 33), spec.guiding_line(p_x) + _centered_axis(half, step))
-    state = landau_gauge_state(spec, n, p_x, grid=grid)
-    return hamiltonian_residual(spec, landau_gauge(spec.B), state, level_energy(spec, n))
-
-
-def _ring_residual(
-    spec: LandauSpec, n: int, angular: int, built: GridField2D | None = None
-) -> float:
-    """Residual of a ring state over its default square, at the probe step.
-    ``built``, the same state on any grid, is probed as it is when its axes
-    equal the probe's, which saves a second build whenever the step is l/8."""
-    extent = _ring_extent(spec, n, angular)
-    axis = _centered_axis(extent, _probe_step(spec, max(2 * n + 1, angular + 1), extent))
-    if built is not None and np.array_equal(built.x, axis) and np.array_equal(built.y, axis):
-        state = built
-    else:
-        state = symmetric_gauge_state(spec, n, angular, grid=(axis, axis))
-    return hamiltonian_residual(spec, symmetric_gauge(spec.B), state, level_energy(spec, n))
-
-
-def cmd_landau_state(args, rc: RunConfig) -> int:
-    spec = _landau_spec(rc, args)
+def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
     if args.gauge == "landau":
         p_x = args.p_x
         if p_x is None:
             p_x = 0.5 * spec.hbar / spec.magnetic_length
         state = landau_gauge_state(spec, args.level, p_x)
-        residual = _ridge_residual(spec, args.level, p_x)
+        residual = ridge_residual(spec, args.level, p_x)
     else:
         state = symmetric_gauge_state(spec, args.level, args.angular)
-        residual = _ring_residual(spec, args.level, args.angular, state)
+        residual = ring_residual(spec, args.level, args.angular, state)
     checks = [
         check("norm-defect", state.norm() - 1.0, 1e-10),
         check("eigenvalue-residual", residual, 1e-3),
@@ -435,11 +337,10 @@ def cmd_landau_state(args, rc: RunConfig) -> int:
     psi = state.values
     rows = np.column_stack([a.ravel() for a in (X, Y, psi.real, psi.imag, state.density)])
     header = ("x", "y", "psi_re", "psi_im", "density")
-    return _emit(args, rc, checks, {"landau_state.csv": (header, rows)})
+    return checks, {"landau_state.csv": (header, rows)}
 
 
-def cmd_landau_degeneracy(args, rc: RunConfig) -> int:
-    spec = _landau_spec(rc, args)
+def cmd_landau_degeneracy(args, spec: LandauSpec, rc: RunConfig):
     report = degeneracy(spec)
     checks = [
         CheckResult(
@@ -454,43 +355,41 @@ def cmd_landau_degeneracy(args, rc: RunConfig) -> int:
         ("guiding_centers", report.guiding_center_count),
         ("rings", report.ring_count),
     ]
-    return _emit(args, rc, checks, {"landau_degeneracy.csv": (("method", "value"), rows)})
+    return checks, {"landau_degeneracy.csv": (("method", "value"), rows)}
 
 
-def cmd_landau_hall(args, rc: RunConfig) -> int:
-    spec = _landau_spec(rc, args)
+def cmd_landau_hall(args, spec: LandauSpec, rc: RunConfig):
     if args.voltage == 0:
         raise ConfigError("--voltage must be nonzero")
     report = hall_current(spec, args.voltage)
-    quantum = conductance_quantum(spec)
-    quantization_defect = abs(report.conductance / quantum - 1.0)
+    quantization_defect = abs(report.conductance / report.quantum - 1.0)
     checks = [check("conductance-quantization", quantization_defect, 1e-12)]
     rows = [
         ("per_electron_current", report.per_electron_current),
         ("per_level_current", report.per_level_current),
         ("conductance", report.conductance),
-        ("conductance_quantum", quantum),
+        ("conductance_quantum", report.quantum),
     ]
-    return _emit(args, rc, checks, {"landau_hall.csv": (("quantity", "value"), rows)})
+    return checks, {"landau_hall.csv": (("quantity", "value"), rows)}
 
 
-def cmd_landau_checks(args, rc: RunConfig) -> int:
-    spec = _landau_spec(rc, args)
+def cmd_landau_checks(args, spec: LandauSpec, rc: RunConfig):
     gauge_l = landau_gauge(spec.B)
     gauge_s = symmetric_gauge(spec.B)
     p_probe = 0.5 * spec.hbar / spec.magnetic_length
 
     checks = [
-        check(f"landau-gauge-level-{n}", _ridge_residual(spec, n, p_probe), 1e-3) for n in (0, 1)
+        check(f"landau-gauge-level-{n}", ridge_residual(spec, n, p_probe), 1e-3) for n in (0, 1)
     ]
     checks += [
-        check(f"symmetric-gauge-ring-{m}", _ring_residual(spec, 0, m), 1e-3) for m in (0, 1, 2)
+        check(f"symmetric-gauge-ring-{m}", ring_residual(spec, 0, m), 1e-3) for m in (0, 1, 2)
     ]
 
     # The level-0 probe's rectangle again at half its step.
     h = spec.magnetic_length / 16.0
-    fine_grid = (_axis(0.0, 64.0 * h, h), spec.guiding_line(p_probe) + _centered_axis(128.0 * h, h))
-    fine = landau_gauge_state(spec, 0, p_probe, grid=fine_grid)
+    x_fine = np.linspace(0.0, 64.0 * h, 65)
+    y_fine = spec.guiding_line(p_probe) + h * np.arange(-128, 129)
+    fine = landau_gauge_state(spec, 0, p_probe, grid=(x_fine, y_fine))
     r_fine = hamiltonian_residual(spec, gauge_l, fine, level_energy(spec, 0))
     ratio = checks[0].residual / r_fine if r_fine > 0 else np.inf
     checks.append(CheckResult("refinement-drop-at-least-4x", ratio >= 4.0, float(ratio)))
@@ -503,11 +402,22 @@ def cmd_landau_checks(args, rc: RunConfig) -> int:
     )
 
     rows = [(c.name, c.residual) for c in checks]
-    return _emit(args, rc, checks, {"landau_checks.csv": (("check", "residual"), rows)})
+    return checks, {"landau_checks.csv": (("check", "residual"), rows)}
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _finite(text: str) -> float:
+    """argparse type for float flags: a number, but neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -544,45 +454,45 @@ def build_parser() -> argparse.ArgumentParser:
     momentum_sub = momentum.add_subparsers(dest="command", required=True)
     p = leaf(momentum_sub, "continuous", cmd_momentum_continuous, help="continuous density")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p-max", type=float, default=None)
+    p.add_argument("--p-max", type=_finite, default=None)
     p.add_argument("--count", type=int, default=4001)
     p = leaf(momentum_sub, "discrete", cmd_momentum_discrete, help="ladder weights")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k-max", type=int, default=64)
     p = leaf(momentum_sub, "compare", cmd_momentum_compare, help="density plus spike sidecar")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--window", type=float, default=None)
+    p.add_argument("--window", type=_finite, default=None)
 
     release = groups.add_parser("release", help="free flight after wall removal")
     release_sub = release.add_subparsers(dest="command", required=True)
     p = leaf(release_sub, "evolve", cmd_release_evolve, help="evolved snapshot")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--box-length", type=float, default=None)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--box-length", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=None)
     p = leaf(release_sub, "farfield", cmd_release_farfield, help="ballistic momentum map")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--t", type=float, default=50.0)
-    p.add_argument("--probe-max", type=float, default=None)
+    p.add_argument("--t", type=_finite, default=50.0)
+    p.add_argument("--probe-max", type=_finite, default=None)
 
     landau = groups.add_parser("landau", help="Landau levels on a rectangle")
     landau_sub = landau.add_subparsers(dest="command", required=True)
 
     def landau_leaf(name, handler, **kwargs):
         sub = leaf(landau_sub, name, handler, **kwargs)
-        sub.add_argument("--field", type=float, default=1.0)
-        sub.add_argument("--edge-x", type=float, default=10.0)
-        sub.add_argument("--edge-y", type=float, default=10.0)
+        sub.add_argument("--field", type=_finite, default=1.0)
+        sub.add_argument("--edge-x", type=_finite, default=10.0)
+        sub.add_argument("--edge-y", type=_finite, default=10.0)
         return sub
 
     p = landau_leaf("state", cmd_landau_state, help="sampled level state")
     p.add_argument("--gauge", choices=("landau", "symmetric"), default="landau")
     p.add_argument("--level", type=int, default=0)
-    p.add_argument("--p-x", type=float, default=None)
+    p.add_argument("--p-x", type=_finite, default=None)
     p.add_argument("--angular", type=int, default=0)
     landau_leaf("degeneracy", cmd_landau_degeneracy, help="three degeneracy counts")
     p = landau_leaf("hall", cmd_landau_hall, help="per-level Hall response")
-    p.add_argument("--voltage", type=float, default=1.0)
+    p.add_argument("--voltage", type=_finite, default=1.0)
     landau_leaf("checks", cmd_landau_checks, help="stencil and commutator battery")
 
     return parser
@@ -611,8 +521,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         rc = _resolve_config(args)
-        return args.handler(args, rc)
-    except (ConfigError, ValueError, AliasingError) as exc:
+        spec = _landau_spec(rc, args) if args.group == "landau" else _well_spec(rc)
+        return _emit(args, rc, *args.handler(args, spec, rc))
+    except (ValueError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

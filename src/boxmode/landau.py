@@ -36,14 +36,12 @@ class LandauSpec:
     Ly: float = 10.0
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise ValueError(f"B must be positive, got {self.B}")
-        if self.charge == 0:
-            raise ValueError("charge must be nonzero")
-        for name in ("mass", "light_speed", "hbar", "Lx", "Ly"):
+        if not (np.isfinite(self.charge) and self.charge != 0):
+            raise ValueError(f"charge must be finite and nonzero, got {self.charge}")
+        for name in ("B", "mass", "light_speed", "hbar", "Lx", "Ly"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def natural(cls, B: float = 1.0, Lx: float = 10.0, Ly: float = 10.0) -> "LandauSpec":
@@ -395,6 +393,58 @@ def hamiltonian_residual(
     return float(np.abs(defect[interior]).max() / scale)
 
 
+# The 4th-order stencils err by about (k h)^4 (k l)^2 / 180 of the level
+# spacing on a wave of wavenumber k = sqrt(waves) / l: waves = 2n + 1 across a
+# level-n ridge and 2 (p_x l / hbar)^2 + 1 along it, and m + 1 for a ring of
+# index m (where the vector potential's term dominates). Halving h = l/8 until
+# waves^3 <= 1000 refine^4 keeps that near the 1e-3 limit (measured residuals
+# are 1.5-2.5 times lower) and leaves the lowest levels and rings on l/8. A
+# probe holds at most PROBE_BUDGET points; apply_hamiltonian keeps about a
+# dozen complex arrays of its size alive, ~400 MB at the budget.
+PROBE_BUDGET = 2**21
+
+
+def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None = None):
+    """The step for ``waves``; raises ResolutionError, before allocating, if an
+    axis over +-extent times ``columns`` (default: itself) passes the budget."""
+    refine = 1
+    while waves**3 > 1000 * refine**4:
+        refine *= 2
+    step = spec.magnetic_length / (8.0 * refine)
+    rows = 2 * int(np.ceil(extent / step)) + 1
+    if rows * (columns or rows) > PROBE_BUDGET:
+        raise ResolutionError(f"a {columns or rows} x {rows} probe exceeds {PROBE_BUDGET} points")
+    return step
+
+
+def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
+    """Eigenvalue residual of the level-n ridge with momentum p_x, probed at a
+    step sized from the level over y past its turning points (at least 8 l
+    each way) and 32 steps of x, along which it is a plane wave."""
+    half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
+    waves = max(2 * n + 1, 2.0 * (p_x * spec.magnetic_length / spec.hbar) ** 2 + 1.0)
+    step = _probe_step(spec, waves, half, columns=33)
+    grid = (np.linspace(0.0, 32.0 * step, 33), spec.guiding_line(p_x) + _centered_axis(half, step))
+    state = landau_gauge_state(spec, n, p_x, grid=grid)
+    return hamiltonian_residual(spec, landau_gauge(spec.B), state, level_energy(spec, n))
+
+
+def ring_residual(
+    spec: LandauSpec, n: int, angular: int, built: GridField2D | None = None
+) -> float:
+    """Eigenvalue residual of a ring state over its default square, at a step
+    sized from the level and ring index. ``built``, the same state on any
+    grid, is probed as it is when its axes equal the probe's, which saves a
+    second build whenever the step is l/8."""
+    extent = _ring_extent(spec, n, angular)
+    axis = _centered_axis(extent, _probe_step(spec, max(2 * n + 1, angular + 1), extent))
+    if built is not None and np.array_equal(built.x, axis) and np.array_equal(built.y, axis):
+        state = built
+    else:
+        state = symmetric_gauge_state(spec, n, angular, grid=(axis, axis))
+    return hamiltonian_residual(spec, symmetric_gauge(spec.B), state, level_energy(spec, n))
+
+
 def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2D) -> float:
     """Defect of the kinetic-momentum commutator against i hbar charge B / c.
 
@@ -544,8 +594,8 @@ def hall_current(spec: LandauSpec, voltage: float) -> HallReport:
     and the rectangle's size. The returned conductance is the magnitude
     |per-level current / voltage|.
     """
-    if voltage == 0:
-        raise ValueError("voltage must be nonzero")
+    if not (np.isfinite(voltage) and voltage != 0):
+        raise ValueError(f"voltage must be finite and nonzero, got {voltage}")
     per_electron = spec.charge * spec.light_speed * voltage / spec.flux
     level_population = spec.flux / spec.flux_quantum
     per_level = level_population * per_electron

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum_continuous import _box_transform
+from .quadrature import ResolutionError
 from .well import Eigenfunction, WellSpec, _check_level
 
 
@@ -25,6 +26,15 @@ class AliasingError(RuntimeError):
 
 # Probability density tolerated at the box edge, per unit 1/half_width.
 _EDGE_DENSITY_LIMIT = 1e-10
+
+# Largest grid evolve_free builds, the size of the far-field grid this package
+# once ran: its ~96 bytes of full-length arrays per sample come to 1.6 GB.
+SAMPLE_BUDGET = 2**24
+
+
+def _check_budget(samples: float):
+    if not samples <= SAMPLE_BUDGET:
+        raise ResolutionError(f"a {samples:.6g}-sample grid exceeds the budget {SAMPLE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,7 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     The grid step is half_width/128 with the walls landing exactly on grid
     nodes; the length covers both the bulk spread and the slow power-law
     tails, with a floor of 16 half-widths. Samples are a power of two.
+    Raises ResolutionError when they would pass ``SAMPLE_BUDGET``.
     """
     n = _check_level(n)
     a, m = spec.half_width, spec.mass
@@ -100,6 +111,7 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
         2.0 * a + 2.0 * (p_edge / m) * t,
         16.0 * a,
     )
+    _check_budget(length / dx)
     samples = _pow2_at_least(length / dx)
     return samples * dx, samples
 
@@ -111,9 +123,11 @@ def evolve_free(
 
     ``box`` is a (length, samples) pair; samples must be a power of two.
     When omitted, ``suggested_box`` picks one. At t = 0 the samples
-    reproduce the stationary state exactly. If noticeable probability
-    reaches the periodic edge (density above 1e-10 per half_width), the
-    result would wrap around and alias, so an AliasingError is raised.
+    reproduce the stationary state exactly. A grid past ``SAMPLE_BUDGET``
+    samples raises ResolutionError before anything is allocated. If
+    noticeable probability reaches the periodic edge (density above 1e-10
+    per half_width), the result would wrap around and alias, so an
+    AliasingError is raised.
     """
     n = _check_level(n)
     if box is None:
@@ -122,6 +136,7 @@ def evolve_free(
     samples = int(samples)
     if samples < 4 or samples & (samples - 1):
         raise ValueError(f"sample count must be a power of two >= 4, got {samples}")
+    _check_budget(samples)
     if not length > 2.0 * spec.half_width:
         raise ValueError("box must be longer than the distance between the walls")
 

@@ -32,8 +32,8 @@ class WellSpec:
     def __post_init__(self):
         for name in ("half_width", "mass", "hbar"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def wavenumber(self, n: int) -> float:
         """Wavenumber of the n-th stationary state, n*pi/(2*half_width)."""
@@ -78,11 +78,6 @@ class Eigenfunction:
     @property
     def energy(self) -> float:
         return self.spec.energy(self.n)
-
-
-def eigenfunction(spec: WellSpec, n: int) -> Eigenfunction:
-    """The n-th normalized stationary state of the box."""
-    return Eigenfunction(spec, n)
 
 
 def state_overlap(spec: WellSpec, m: int, n: int) -> float:

@@ -12,17 +12,15 @@ from boxmode import (
     level_energy,
     symmetric_gauge_state,
 )
-from boxmode.cli import (
+from boxmode.cli import ConfigError, RunConfig, parse_config, run
+from boxmode.landau import (
     PROBE_BUDGET,
-    ConfigError,
-    RunConfig,
+    _axis,
+    _centered_axis,
     _probe_step,
-    _ridge_residual,
-    _ring_residual,
-    parse_config,
-    run,
+    ridge_residual,
+    ring_residual,
 )
-from boxmode.landau import _axis, _centered_axis
 
 
 def run_in(tmp_path, *argv):
@@ -46,21 +44,6 @@ def test_parse_config_sections():
 def test_parse_config_rejects_malformed_lines(text):
     with pytest.raises(ConfigError):
         parse_config(text)
-
-
-def test_run_config_round_trip():
-    rc = RunConfig(
-        units="custom",
-        digits=8,
-        out="results",
-        sections={"well": {"half_width": "2.0"}},
-    )
-    assert RunConfig.from_text(rc.to_text()) == RunConfig(
-        units="custom",
-        digits=8,
-        out="results",
-        sections={"well": {"half_width": "2.0"}},
-    )
 
 
 @pytest.mark.parametrize("kwargs", [{"units": "si"}, {"digits": 0}, {"digits": 18}])
@@ -166,6 +149,13 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("well", "nonsense"),
         ("landau", "state", "--level", "5000"),
         ("landau", "state", "--gauge", "symmetric", "--level", "60", "--angular", "30"),
+        # Non-finite flags: once an OverflowError traceback or a NaN table.
+        ("release", "evolve", "--t", "inf"),
+        ("landau", "degeneracy", "--edge-x", "inf"),
+        ("landau", "state", "--edge-x", "inf"),
+        ("momentum", "compare", "--window", "inf"),
+        ("landau", "hall", "--voltage", "nan"),
+        ("landau", "hall", "--voltage", "inf"),
     ],
 )
 def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
@@ -182,6 +172,17 @@ def test_momentum_continuous_past_node_budget(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert code == 2
     assert "budget 2048" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+    assert elapsed < 1.0
+
+
+def test_release_evolve_past_sample_budget(tmp_path, capsys):
+    # The suggested grid at t = 1e4 holds 2^28 samples, 4 GiB per complex array.
+    start = time.perf_counter()
+    code = run_in(tmp_path / "sub", "release", "evolve", "--t", "1e4")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "budget 16777216" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
     assert elapsed < 1.0
 
@@ -207,7 +208,7 @@ def test_low_level_probes_keep_the_eighth_length_ridge_grid(field):
     for n in (0, 1):
         state = landau_gauge_state(spec, n, p_x, grid=grid)
         expected = hamiltonian_residual(spec, landau_gauge(field), state, level_energy(spec, n))
-        assert _ridge_residual(spec, n, p_x) == expected
+        assert ridge_residual(spec, n, p_x) == expected
 
 
 def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monkeypatch):
@@ -217,7 +218,9 @@ def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monke
         builds.append(args)
         return symmetric_gauge_state(*args, **kwargs)
 
+    # The handler builds through the cli binding, the probe through landau's.
     monkeypatch.setattr("boxmode.cli.symmetric_gauge_state", counted)
+    monkeypatch.setattr("boxmode.landau.symmetric_gauge_state", counted)
     argv = ("landau", "state", "--gauge", "symmetric", "--level", "3", "--angular", "8")
     assert run_in(tmp_path, *argv) == 0
     capsys.readouterr()
@@ -225,15 +228,15 @@ def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monke
     # The reused state gives the residual a fresh build on the probe grid gives.
     spec = LandauSpec.natural()
     state = symmetric_gauge_state(spec, 3, 8)
-    assert _ring_residual(spec, 3, 8, state) == _ring_residual(spec, 3, 8)
+    assert ring_residual(spec, 3, 8, state) == ring_residual(spec, 3, 8)
 
 
 def test_probe_past_budget_raises():
     spec = LandauSpec.natural()
     for probe in (
-        lambda: _ring_residual(spec, 60, 30),
-        lambda: _ring_residual(spec, 0, 400),
-        lambda: _ridge_residual(spec, 5000, 0.5),
+        lambda: ring_residual(spec, 60, 30),
+        lambda: ring_residual(spec, 0, 400),
+        lambda: ridge_residual(spec, 5000, 0.5),
     ):
         with pytest.raises(ResolutionError, match=f"exceeds {PROBE_BUDGET} points"):
             probe()
@@ -264,6 +267,15 @@ def test_custom_units_from_config(tmp_path, capsys):
     # Wider, lighter well: pi^2/16 and pi^2/4 at eight digits.
     assert lines[1] == f"1,{np.pi**2 / 16.0:.8e}"
     assert lines[2] == f"2,{np.pi**2 / 4.0:.8e}"
+
+
+def test_non_finite_config_unit_returns_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = custom\n[well]\nhalf_width = inf\n", encoding="utf-8")
+    code = run_in(tmp_path / "sub", "well", "energies", "--config", str(cfg))
+    assert code == 2
+    assert "half_width must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -51,6 +51,11 @@ def test_spec_validation():
         LandauSpec(mass=-2.0)
     with pytest.raises(ValueError):
         LandauSpec(Lx=0.0)
+    # Config-file units reach the spec without passing a flag's finite check.
+    for name in ("B", "charge", "mass", "light_speed", "hbar", "Lx", "Ly"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                LandauSpec(**{name: value})
 
 
 def test_natural_preset(landau):
@@ -435,8 +440,9 @@ def test_hall_conductance_independent_of_geometry(B, Lx, Ly, voltage):
 
 
 def test_hall_rejects_zero_voltage(landau):
-    with pytest.raises(ValueError):
-        hall_current(landau, 0.0)
+    for voltage in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            hall_current(landau, voltage)
 
 
 def test_radial_peak_requires_axis_row(landau):

@@ -13,7 +13,6 @@ from boxmode import (
     amplitude_transform,
     analytic_density,
     default_grid,
-    eigenfunction,
     farfield_map,
     spectrum,
     uncertainty_product,

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from boxmode import (
     AliasingError,
+    Eigenfunction,
     EvolutionSnapshot,
+    ResolutionError,
     WellSpec,
     analytic_density,
-    eigenfunction,
     evolve_free,
     farfield_map,
     grid_kinetic_energy,
@@ -23,7 +24,7 @@ def test_zero_time_reproduces_initial_state(spec):
     """At t = 0 the evolved samples are exactly the renormalized stationary
     state: zero outside the walls, real everywhere, no roundoff at all."""
     snapshot = evolve_free(spec, 1, 0.0, box=ALIGNED_BOX)
-    psi0 = eigenfunction(spec, 1)(snapshot.x).astype(complex)
+    psi0 = Eigenfunction(spec, 1)(snapshot.x).astype(complex)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * snapshot.dx)
     assert np.array_equal(snapshot.psi, psi0)
     assert np.all(snapshot.psi.imag == 0.0)
@@ -35,6 +36,15 @@ def test_zero_time_reproduces_initial_state(spec):
 def test_bad_boxes_rejected(spec, box):
     with pytest.raises(ValueError):
         evolve_free(spec, 1, 0.0, box=box)
+
+
+def test_grid_past_sample_budget_raises_before_allocating(spec):
+    # 2^30 complex samples would take 16 GiB; the budget check comes first.
+    with pytest.raises(ResolutionError, match="budget 16777216"):
+        evolve_free(spec, 1, 1.0, box=(64.0, 2**30))
+    # The suggested grid at t = 1e4 would hold 2^28 samples.
+    with pytest.raises(ResolutionError, match="budget 16777216"):
+        evolve_free(spec, 1, 1e4)
 
 
 def test_undersized_box_raises_aliasing_error(spec):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmode import WellSpec, eigenfunction, normalization_defect, state_overlap
+from boxmode import Eigenfunction, WellSpec, normalization_defect, state_overlap
 
 # First three level energies for the natural-unit well, frozen from the
 # closed form (n pi / 2a)^2 hbar^2 / 2m.
@@ -58,7 +58,7 @@ def test_overlap_diagonal_is_unity(spec):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parity(spec, n):
     """Odd-index states are even in x, even-index states are odd."""
-    psi = eigenfunction(spec, n)
+    psi = Eigenfunction(spec, n)
     sign = 1.0 if n % 2 == 1 else -1.0
     assert psi.parity == sign
     x = np.linspace(-0.9, 0.9, 41)
@@ -67,7 +67,7 @@ def test_parity(spec, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_vanishes_at_walls_and_outside(spec, n):
-    psi = eigenfunction(spec, n)
+    psi = Eigenfunction(spec, n)
     assert psi(spec.half_width) == 0.0
     assert psi(-spec.half_width) == 0.0
     outside = np.array([-5.0, -1.0001, 1.0001, 2.0, 100.0])
@@ -75,12 +75,12 @@ def test_vanishes_at_walls_and_outside(spec, n):
 
 
 def test_eigenfunction_energy_property(spec):
-    psi = eigenfunction(spec, 4)
+    psi = Eigenfunction(spec, 4)
     assert psi.energy == pytest.approx(spec.energy(4), rel=1e-15)
 
 
 def test_scalar_evaluation_returns_float(spec):
-    psi = eigenfunction(spec, 2)
+    psi = Eigenfunction(spec, 2)
     value = psi(0.25)
     assert isinstance(value, float)
 
@@ -88,7 +88,7 @@ def test_scalar_evaluation_returns_float(spec):
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 def test_invalid_level_rejected(spec, bad):
     with pytest.raises((TypeError, ValueError)):
-        eigenfunction(spec, bad)
+        Eigenfunction(spec, bad)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,8 @@ def test_invalid_level_rejected(spec, bad):
         {"half_width": -1.0},
         {"mass": 0.0},
         {"hbar": -0.1},
+        {"half_width": np.inf},
+        {"mass": np.nan},
     ],
 )
 def test_invalid_spec_rejected(kwargs):
@@ -112,6 +114,6 @@ def test_invalid_spec_rejected(kwargs):
 @settings(max_examples=60, deadline=None)
 def test_amplitude_bounded_everywhere(n, x):
     spec = WellSpec()
-    psi = eigenfunction(spec, n)
+    psi = Eigenfunction(spec, n)
     bound = 1.0 / np.sqrt(spec.half_width)
     assert abs(psi(x)) <= bound * (1.0 + 1e-12)

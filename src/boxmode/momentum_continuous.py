@@ -87,28 +87,52 @@ def _in_row_blocks(rows: np.ndarray, block) -> np.ndarray:
     return out
 
 
+def _plane_waves(rows: np.ndarray, x: np.ndarray, hbar: float) -> np.ndarray:
+    """The kernel exp(-i outer(rows, x) / hbar) for antisymmetric nodes x.
+
+    ``cos`` and ``sin`` are taken on the non-negative half of x only, and the
+    other half is their complex conjugate, mirrored. Mapped Gauss-Legendre
+    nodes on [-a, a] satisfy x[::-1] == -x exactly, ``cos`` is exactly even,
+    ``sin`` exactly odd, and numpy's complex exp(0 - i theta) is bitwise
+    (cos theta, -sin theta), so the kernel equals the one-shot ``np.exp``
+    byte for byte. The phase is scaled by 1 / hbar, as the complex quotient
+    by hbar scales it.
+    """
+    half = x.size // 2
+    kernel = np.empty((rows.size, x.size), dtype=complex)
+    theta = np.outer(rows, x[half:])
+    theta *= 1.0 / hbar
+    np.cos(theta, out=kernel.real[:, half:])
+    np.sin(theta, out=theta)
+    np.negative(theta, out=kernel.imag[:, half:])
+    np.conjugate(kernel[:, : -half - 1 : -1], out=kernel[:, :half])
+    return kernel
+
+
 def _box_transform(spec: WellSpec, f, p, f_radians: float):
     """Integral of f(x) e^{-ipx/hbar} / sqrt(2 pi hbar) over the box, at each p.
 
     ``f`` is a vectorized callable on [-a, a] whose phase turns through at
     most ``f_radians`` over a half width. The Gauss-Legendre order is
     ``bandwidth_order`` of that span plus the plane wave's a max|p| / hbar.
-    The p x order kernel is built, exponentiated in place and applied in row
-    blocks (``_in_row_blocks``), so memory stays bounded for any number of
-    momenta. A scalar p gives a complex scalar, an array p an array of the
-    same shape.
+    The p x order kernel is built from cos and sin on the non-negative half
+    of the nodes (``_plane_waves``) and applied in row blocks
+    (``_in_row_blocks``), so memory stays bounded for any number of momenta.
+    A scalar p gives a complex scalar, an array p an array of the same shape;
+    a non-finite p raises ``ValueError``.
     """
     a = spec.half_width
     p_arr = np.asarray(p, dtype=float)
+    finite = np.isfinite(p_arr)
+    if not finite.all():
+        raise ValueError(f"momentum p must be finite, got {p_arr[~finite].flat[0]}")
     p_max = float(np.max(np.abs(p_arr), initial=0.0))
     radians = a * p_max / spec.hbar + f_radians
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     weighted = w * f(x)
 
     def block(rows):
-        kernel = -1j * np.outer(rows, x) / spec.hbar
-        np.exp(kernel, out=kernel)
-        return kernel @ weighted
+        return _plane_waves(rows, x, spec.hbar) @ weighted
 
     values = _in_row_blocks(p_arr.ravel(), block) / np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .momentum_continuous import _in_row_blocks
+from .momentum_continuous import _in_row_blocks, _plane_waves
 from .quadrature import QuadratureSettings, bandwidth_order
 from .well import WellSpec, _check_level
 
@@ -127,7 +127,8 @@ def expand(
     is sized to the ladder's top momentum, and the state's norm over the
     same nodes must be 1 within 1e-6 — a wrong norm, a NaN, or a state too
     oscillatory for those nodes, would silently corrupt every weight, so it
-    is rejected instead. The ladder x nodes kernel is built and applied in
+    is rejected instead. The ladder x nodes kernel is built from cos and sin
+    on the non-negative half of the nodes (``_plane_waves``) and applied in
     row blocks, so memory stays bounded for any k_max.
     """
     if k_max < 0:
@@ -144,7 +145,8 @@ def expand(
     weighted = w * values
 
     def block(rows):
-        kernel = np.exp(-1j * np.outer(rows, x) / spec.hbar) / np.sqrt(2.0 * a)
+        kernel = _plane_waves(rows, x, spec.hbar)
+        kernel /= np.sqrt(2.0 * a)
         return kernel @ weighted
 
     coefficients = _in_row_blocks(momenta, block)
@@ -209,8 +211,8 @@ def convergence_report(
     n = _check_level(n)
     if window_half_width is None:
         window_half_width = np.pi * spec.hbar / (2.0 * spec.half_width)
-    if not window_half_width > 0:
-        raise ValueError(f"window_half_width must be positive, got {window_half_width}")
+    if not 0 < window_half_width < np.inf:
+        raise ValueError(f"window_half_width must be positive and finite, got {window_half_width}")
 
     p_spike = spec.spike_momentum(n)
     windows = [

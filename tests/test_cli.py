@@ -329,6 +329,13 @@ def test_landau_degeneracy_run(tmp_path, capsys):
     assert table["rings"] == "16"
 
 
+def test_landau_hall_zero_voltage_returns_two(tmp_path, capsys):
+    # One voltage rule: the library's, with its message.
+    assert run_in(tmp_path / "sub", "landau", "hall", "--voltage", "0") == 2
+    assert "voltage must be finite and nonzero, got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
 def test_landau_hall_run(tmp_path, capsys):
     assert run_in(tmp_path, "landau", "hall", "--voltage", "2.5") == 0
     out = capsys.readouterr().out

@@ -17,7 +17,7 @@ from boxmode import (
     spectrum,
     uncertainty_product,
 )
-from boxmode.momentum_continuous import KERNEL_ROWS
+from boxmode.momentum_continuous import KERNEL_ROWS, _plane_waves
 from boxmode.quadrature import bandwidth_order
 
 # Ground-state landmarks in natural units (a = m = hbar = 1), frozen from
@@ -206,8 +206,15 @@ def one_shot_transform(spec, f, p, f_radians):
 # Row-block boundaries (a one-row tail included) and the benchmark's 20001.
 BLOCK_COUNTS = [0, KERNEL_ROWS - 1, KERNEL_ROWS, KERNEL_ROWS + 1, 2 * KERNEL_ROWS + 1, 20001]
 
+# Each count in natural units and in custom units, whose hbar != 1 exercises
+# the kernel's 1 / hbar phase scaling.
+BLOCK_CASES = [pytest.param(WellSpec(), c, id=str(c)) for c in BLOCK_COUNTS] + [
+    pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), c, id=f"custom-{c}")
+    for c in BLOCK_COUNTS
+]
 
-@pytest.mark.parametrize("count", BLOCK_COUNTS)
+
+@pytest.mark.parametrize("spec, count", BLOCK_CASES)
 def test_blocked_transform_is_bitwise_one_shot(spec, count):
     psi = Eigenfunction(spec, 3)
     radians = psi.wavenumber * spec.half_width
@@ -218,7 +225,7 @@ def test_blocked_transform_is_bitwise_one_shot(spec, count):
     assert amplitude_transform(spec, 3, 1.5) == scalar
 
 
-@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("spec, count", BLOCK_CASES)
 def test_blocked_farfield_is_bitwise_one_shot(spec, count):
     t, psi = 20.0, Eigenfunction(spec, 2)
     a, m, hbar = spec.half_width, spec.mass, spec.hbar
@@ -232,6 +239,33 @@ def test_blocked_farfield_is_bitwise_one_shot(spec, count):
     assert np.array_equal(farfield_map(spec, 2, t, p), expected)
     scalar = np.abs(one_shot_transform(spec, chirped, 1.5, radians)[0]) ** 2
     assert farfield_map(spec, 2, t, 1.5) == scalar
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1.3, 1.0545718e-34])
+@pytest.mark.parametrize("order", [2, 3, 256, 257, 259, 374, 2048])
+def test_plane_waves_are_bitwise_one_shot_exp(order, hbar):
+    """The mirrored cos/sin kernel equals the one-shot complex exp byte for
+    byte, signed zeros included. The equality rests on numpy's cos, sin and
+    complex exp agreeing, so this is the guard for a platform that rounds
+    them differently."""
+    a = 2.5
+    x, _ = QuadratureSettings(order).nodes(-a, a)
+    p_top = order * hbar / a
+    spread = np.random.default_rng(order).uniform(-p_top, p_top, 64)
+    rows = np.concatenate([[0.0, -0.0], np.linspace(-p_top, p_top, 65), spread])
+    expected = np.exp(-1j * np.outer(rows, x) / hbar)
+    assert _plane_waves(rows, x, hbar).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan, np.array([0.0, np.nan, 1.0])])
+def test_transform_rejects_non_finite_momenta(spec, p):
+    with pytest.raises(ValueError, match="momentum p must be finite"):
+        amplitude_transform(spec, 1, p)
+
+
+def test_farfield_rejects_non_finite_momenta(spec):
+    with pytest.raises(ValueError, match="momentum p must be finite"):
+        farfield_map(spec, 1, 50.0, np.nan)
 
 
 def test_transform_memory_does_not_grow_with_probe_count(spec):

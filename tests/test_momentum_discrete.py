@@ -139,9 +139,17 @@ def test_expand_rejects_nan_state(spec):
         expand(spec, lambda x: np.full_like(x, np.nan), matched_phase(1), k_max=4)
 
 
-@pytest.mark.parametrize("k_max", [0, 511, 512, 1024])
+@pytest.mark.parametrize(
+    "spec, k_max",
+    [pytest.param(WellSpec(), k, id=str(k)) for k in (0, 140, 511, 512, 1024)]
+    + [
+        pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), k, id=f"custom-{k}")
+        for k in (0, 140, 511, 512, 1024)
+    ],
+)
 def test_blocked_expand_is_bitwise_one_shot(spec, k_max):
-    """k_max = 512 is one full row block plus a one-row tail."""
+    """k_max = 512 is one full row block plus a one-row tail; k_max = 140
+    sizes an odd, 259-node rule, whose middle node is 0."""
     state, phase = Eigenfunction(spec, 2), matched_phase(2)
     a = spec.half_width
     _, momenta = allowed_momenta(spec, phase, k_max)
@@ -270,3 +278,9 @@ def test_wide_window_captures_all_mass(spec):
 def test_window_must_be_positive(spec):
     with pytest.raises(ValueError):
         convergence_report(spec, 1, window_half_width=0.0)
+
+
+@pytest.mark.parametrize("width", [np.inf, np.nan])
+def test_window_must_be_finite(spec, width):
+    with pytest.raises(ValueError, match="window_half_width must be positive and finite"):
+        convergence_report(spec, 1, window_half_width=width)

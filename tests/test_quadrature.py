@@ -29,3 +29,13 @@ def test_bandwidth_order_budget():
         bandwidth_order(4000.0)
     # The shared error is a ValueError, which the CLI reports with exit code 2.
     assert issubclass(ResolutionError, ValueError)
+
+
+@pytest.mark.parametrize("order", [2, 3, 256, 257, 259, 374, 2048])
+def test_mapped_nodes_are_exactly_antisymmetric(order):
+    """Box kernels take cos and sin on the non-negative half of the nodes and
+    mirror them into the other half, which needs x[::-1] == -x bit for bit."""
+    for a in (1e-9, 1.0, 2.5, 3e4):
+        x, _ = QuadratureSettings(order).nodes(-a, a)
+        assert np.array_equal(x[::-1], -x)
+        assert x[order // 2 :].min() >= 0.0

@@ -15,6 +15,7 @@ returns its checks and tables, and ``run`` prints and writes them.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -427,7 +428,9 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``run`` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="boxmode",
         description="Box states in momentum space, sudden release, Landau levels.",

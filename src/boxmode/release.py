@@ -32,6 +32,11 @@ _EDGE_DENSITY_LIMIT = 1e-10
 SAMPLE_BUDGET = 2**24
 
 
+def _check_time(t: float):
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def _check_budget(samples: float):
     if not samples <= SAMPLE_BUDGET:
         raise ResolutionError(f"a {samples:.6g}-sample grid exceeds the budget {SAMPLE_BUDGET}")
@@ -99,9 +104,11 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     The grid step is half_width/128 with the walls landing exactly on grid
     nodes; the length covers both the bulk spread and the slow power-law
     tails, with a floor of 16 half-widths. Samples are a power of two.
-    Raises ResolutionError when they would pass ``SAMPLE_BUDGET``.
+    Raises ResolutionError when they would pass ``SAMPLE_BUDGET``, and
+    ValueError for a non-finite t.
     """
     n = _check_level(n)
+    _check_time(t)
     a, m = spec.half_width, spec.mass
     t = abs(float(t))
     dx = a / 128.0
@@ -127,9 +134,10 @@ def evolve_free(
     samples raises ResolutionError before anything is allocated. If
     noticeable probability reaches the periodic edge (density above 1e-10
     per half_width), the result would wrap around and alias, so an
-    AliasingError is raised.
+    AliasingError is raised. A non-finite t raises ValueError.
     """
     n = _check_level(n)
+    _check_time(t)
     if box is None:
         box = suggested_box(spec, n, t)
     length, samples = box

@@ -54,7 +54,8 @@ class Eigenfunction:
 
     Odd-numbered levels are even functions cos(k_n x)/sqrt(a); even-numbered
     levels are odd functions sin(k_n x)/sqrt(a). Both vanish identically
-    outside the walls, including exactly at x = ±a.
+    outside the walls, including exactly at x = ±a, and at ±inf. A nan
+    sample raises ``ValueError``.
     """
 
     def __init__(self, spec: WellSpec, n: int):
@@ -66,6 +67,8 @@ class Eigenfunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError("x must not be nan")
         inside = np.abs(x) < self.spec.half_width
         values = np.where(inside, self._amplitude * self._trig(self.wavenumber * x), 0.0)
         return float(values) if values.ndim == 0 else values

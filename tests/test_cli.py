@@ -12,7 +12,7 @@ from boxmode import (
     level_energy,
     symmetric_gauge_state,
 )
-from boxmode.cli import ConfigError, RunConfig, parse_config, run
+from boxmode.cli import ConfigError, RunConfig, build_parser, parse_config, run
 from boxmode.landau import (
     PROBE_BUDGET,
     _axis,
@@ -125,6 +125,20 @@ def test_leaf_runs_with_every_check_passing(tmp_path, capsys, argv, csv_name, he
     assert checks and all(": PASS " in line for line in checks)
     lines = (tmp_path / csv_name).read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
+
+
+def test_run_reuses_one_parser_across_leaves(tmp_path, capsys):
+    """Each call parses afresh: no flag, default or error carries over."""
+    assert build_parser() is build_parser()
+    assert run_in(tmp_path / "a", "well", "energies", "--n-max", "3") == 0
+    assert run_in(tmp_path / "b", "momentum", "continuous", "--bogus", "1") == 2
+    assert run_in(tmp_path / "c", "landau", "hall", "--voltage", "2") == 0
+    assert run_in(tmp_path / "d", "well", "energies") == 0
+    assert not (tmp_path / "b").exists()
+    rows = {name: (tmp_path / name / "well_energies.csv").read_text().splitlines() for name in "ad"}
+    assert len(rows["a"]) == 1 + 3 and len(rows["d"]) == 1 + 10
+    hall = (tmp_path / "c" / "landau_hall.csv").read_text().splitlines()
+    assert hall[0] == "quantity,value" and len(hall) == 5
 
 
 def test_failed_check_returns_one(tmp_path, capsys):

@@ -47,6 +47,19 @@ def test_grid_past_sample_budget_raises_before_allocating(spec):
         evolve_free(spec, 1, 1e4)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("box", [None, ALIGNED_BOX], ids=["suggested", "given"])
+def test_non_finite_time_rejected(spec, t, box):
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve_free(spec, 1, t, box=box)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_suggested_box_rejects_non_finite_time(spec, t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        suggested_box(spec, 1, t)
+
+
 def test_undersized_box_raises_aliasing_error(spec):
     with pytest.raises(AliasingError):
         evolve_free(spec, 1, 5.0, box=ALIGNED_BOX)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -180,3 +181,77 @@ def test_array_rows_match_tuple_rows(
 @pytest.mark.parametrize("dtype", sorted(_SPECIAL))
 def test_array_rows_match_tuple_rows_at_chunk_size(tmp_path, dtype, n_rows):
     _assert_forms_agree(tmp_path, _table(dtype, n_rows, 2, seed=n_rows), digits=12)
+
+
+def _binary_ties() -> np.ndarray:
+    """Values k / 2**j (k odd), exact in binary, whose decimal expansion ends in 5.
+
+    Such a value with s significant decimals is an exact tie at s - 2 digits.
+    """
+    return np.array(
+        [0.125, 1.25, 2.5e-1, 9.5, 0.5]
+        + [k / 2.0**j for k in (1, 3, 7, 11, 123, 4097, 65537, 2**52 - 1) for j in range(1, 48)]
+    )
+
+
+def _decimal_near_ties() -> np.ndarray:
+    """The doubles nearest to decimal ties at each digit count 1..17.
+
+    Each lies within half an ulp of its tie: from 9 digits on, that is
+    mostly outside the tie margin, so the array path decides the rounding.
+    """
+    rng = np.random.default_rng(17)
+    return np.array([
+        float(f"{rng.integers(10**d, 10 ** (d + 1))}5e{rng.integers(-290, 290)}")
+        for d in range(1, 18)
+        for _ in range(40)
+    ])
+
+
+def _edge_cells() -> np.ndarray:
+    powers = np.array([float(f"1e{e}") for e in range(-307, 309)])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    smallest_normal, largest = np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max
+    float32 = np.finfo(np.float32)
+    finite = np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        _binary_ties(),
+        _decimal_near_ties(),
+        [tiny, 2 * tiny, 12345 * tiny, smallest_normal - tiny, smallest_normal, largest],
+        [float32.smallest_subnormal, float32.smallest_normal, float32.max],
+        # The edges of the magnitudes the array path rounds itself.
+        [1e-280, np.nextafter(1e-280, 0.0), 1e280, np.nextafter(1e280, np.inf)],
+    ])
+    special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+    random_bits = np.random.default_rng(20).integers(0, 2**64, 3000, dtype=np.uint64)
+    return np.concatenate([finite, -finite, special, random_bits.view(np.float64)])
+
+
+def _array_cells(directory, cells: np.ndarray, digits: int) -> list[str]:
+    path = write_csv(directory / "cells.csv", ["v"], cells.reshape(-1, 1), digits)
+    return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_binary_ties_reach_every_digit_count():
+    # Guards the tie cells below: each digit count 1..17 meets exact ties.
+    lengths = {len(Decimal(float(v)).normalize().as_tuple().digits) for v in _binary_ties()}
+    assert set(range(3, 20)) <= lengths
+
+
+@pytest.mark.parametrize("digits", [0, *range(1, 18), 18, 20])
+def test_array_cells_match_percent_format(tmp_path, digits):
+    cells = _edge_cells()
+    expected = [f"%.{digits}e" % float(v) for v in cells]
+    assert _array_cells(tmp_path, cells, digits) == expected
+
+
+@pytest.mark.parametrize("digits", [1, 7, 12, 17])
+def test_float32_array_cells_match_percent_format(tmp_path, digits):
+    float32 = np.finfo(np.float32)
+    rng = np.random.default_rng(digits)
+    cells = np.concatenate([
+        [float32.smallest_subnormal, float32.smallest_normal, float32.max, -float32.max],
+        rng.integers(0, 2**32, 2000, dtype=np.uint32).view(np.float32),
+    ]).astype(np.float32)
+    expected = [f"%.{digits}e" % float(v) for v in cells]
+    assert _array_cells(tmp_path, cells, digits) == expected

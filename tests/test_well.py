@@ -74,6 +74,17 @@ def test_vanishes_at_walls_and_outside(spec, n):
     assert np.all(psi(outside) == 0.0)
 
 
+def test_nan_sample_rejected_and_infinity_outside(spec):
+    psi = Eigenfunction(spec, 1)
+    for x in (np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="x must not be nan"):
+            psi(x)
+    # cos(±inf) is nan, but the walls mask it: ±inf lies outside.
+    with np.errstate(invalid="ignore"):
+        assert psi(np.inf) == 0.0
+        assert np.all(psi(np.array([-np.inf, 0.5, np.inf])) == [0.0, psi(0.5), 0.0])
+
+
 def test_eigenfunction_energy_property(spec):
     psi = Eigenfunction(spec, 4)
     assert psi.energy == pytest.approx(spec.energy(4), rel=1e-15)

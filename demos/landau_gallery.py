@@ -30,14 +30,14 @@ from boxmode.landau import _centered_axis, ridge_residual, ring_residual
 
 
 def main():
-    spec = LandauSpec.natural()
+    spec = LandauSpec()
     print("electron on a 10 x 10 patch, B = 1, natural units")
     print(f"magnetic length {spec.magnetic_length}, level spacing "
           f"{spec.hbar * spec.cyclotron_frequency}")
 
     print("\neigenvalue residuals against the discretized Hamiltonian:")
     for n in (0, 1):
-        r = ridge_residual(spec, n, 0.5 * spec.hbar / spec.magnetic_length)
+        r = ridge_residual(spec, n, spec.probe_momentum)
         print(f"  ridge state, level {n}:      {r:.2e}")
     for angular in range(3):
         r = ring_residual(spec, 0, angular)

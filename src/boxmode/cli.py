@@ -49,7 +49,8 @@ from .momentum_discrete import (
     expand,
     matched_phase,
 )
-from .release import AliasingError, evolve_free, farfield_map, grid_kinetic_energy
+from .quadrature import _index, _positive
+from .release import evolve_free, farfield_map, grid_kinetic_energy
 from .report import CheckResult, all_passed, check, write_csv
 from .well import Eigenfunction, WellSpec
 
@@ -183,9 +184,7 @@ def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
 
 
 def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
-    if args.n_max < 1:
-        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
-    levels = range(1, args.n_max + 1)
+    levels = range(1, _index(args.n_max, "--n-max", 1) + 1)
     energies = [spec.energy(n) for n in levels]
     ratio_defect = max(
         abs(e / (n * n * energies[0]) - 1.0) for n, e in zip(levels, energies)
@@ -242,8 +241,7 @@ def cmd_momentum_continuous(args, spec: WellSpec, rc: RunConfig):
 
 
 def cmd_momentum_discrete(args, spec: WellSpec, rc: RunConfig):
-    if args.k_max < 1:
-        raise ConfigError(f"--k-max must be at least 1, got {args.k_max}")
+    _index(args.k_max, "--k-max", 1)
     phase = matched_phase(args.n)
     decomposition = expand(spec, Eigenfunction(spec, args.n), phase, args.k_max)
     spike = np.isin(decomposition.indices, eigenstate_spectrum(spec, args.n).indices)
@@ -305,13 +303,10 @@ def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
 
 
 def cmd_release_farfield(args, spec: WellSpec, rc: RunConfig):
-    if args.t <= 0:
-        raise ConfigError(f"--t must be positive for the far field, got {args.t}")
     probe = args.probe_max
     if probe is None:
         probe = 6.0 * spec.spike_momentum(args.n)
-    if not probe > 0:
-        raise ConfigError(f"--probe-max must be positive, got {probe}")
+    _positive(probe, "--probe-max")
     p = np.linspace(-probe, probe, 2001)
     density = farfield_map(spec, args.n, args.t, p)
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
@@ -324,7 +319,7 @@ def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
     if args.gauge == "landau":
         p_x = args.p_x
         if p_x is None:
-            p_x = 0.5 * spec.hbar / spec.magnetic_length
+            p_x = spec.probe_momentum
         state = landau_gauge_state(spec, args.level, p_x)
         residual = ridge_residual(spec, args.level, p_x)
     else:
@@ -375,7 +370,7 @@ def cmd_landau_hall(args, spec: LandauSpec, rc: RunConfig):
 def cmd_landau_checks(args, spec: LandauSpec, rc: RunConfig):
     gauge_l = landau_gauge(spec.B)
     gauge_s = symmetric_gauge(spec.B)
-    p_probe = 0.5 * spec.hbar / spec.magnetic_length
+    p_probe = spec.probe_momentum
 
     checks = [
         check(f"landau-gauge-level-{n}", ridge_residual(spec, n, p_probe), 1e-3) for n in (0, 1)
@@ -524,7 +519,7 @@ def run(argv=None) -> int:
         rc = _resolve_config(args)
         spec = _landau_spec(rc, args) if args.group == "landau" else _well_spec(rc)
         return _emit(args, rc, *args.handler(args, spec, rc))
-    except (ValueError, AliasingError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

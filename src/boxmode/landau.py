@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import ResolutionError
+from .quadrature import ResolutionError, _index, _positive
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,7 @@ class LandauSpec:
         if not (np.isfinite(self.charge) and self.charge != 0):
             raise ValueError(f"charge must be finite and nonzero, got {self.charge}")
         for name in ("B", "mass", "light_speed", "hbar", "Lx", "Ly"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    @classmethod
-    def natural(cls, B: float = 1.0, Lx: float = 10.0, Ly: float = 10.0) -> "LandauSpec":
-        """Electron with hbar = mass = light_speed = 1."""
-        return cls(B=B, Lx=Lx, Ly=Ly)
+            _positive(getattr(self, name), name)
 
     @property
     def cyclotron_frequency(self) -> float:
@@ -70,15 +63,16 @@ class LandauSpec:
         """Height y = -c p_x / (charge B) of the guiding line for momentum p_x."""
         return -self.light_speed * p_x / (self.charge * self.B)
 
-
-def _check_index(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    @property
+    def probe_momentum(self) -> float:
+        """The p_x = ±hbar / (2 magnetic_length) whose guiding line lies at
+        y = magnetic_length / 2, inside the rectangle, for either sign of charge."""
+        return float(np.copysign(0.5 * self.hbar / self.magnetic_length, -self.charge))
 
 
 def level_energy(spec: LandauSpec, n: int) -> float:
     """Energy of the n-th level, (n + 1/2) hbar * cyclotron frequency."""
-    _check_index(n, "level")
+    n = _index(n, "level")
     return (n + 0.5) * spec.hbar * spec.cyclotron_frequency
 
 
@@ -204,7 +198,7 @@ def landau_gauge_state(
     The grid defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass
     a custom (x, y) pair to study the state on its own support.
     """
-    _check_index(n, "level")
+    n = _index(n, "level")
     length = spec.magnetic_length
     y_guide = spec.guiding_line(p_x)
     if not 0.0 <= y_guide <= spec.Ly:
@@ -222,7 +216,7 @@ def landau_gauge_state(
     # h_{k+1} = (2 xi h_k - sqrt(2k) h_{k-1}) / sqrt(2(k+1)) never overflows
     # (Bunck, BIT 49, 281 (2009)); ``profile`` holds sqrt(2k) h_k.
     previous, profile = 0.0, np.exp(-0.5 * xi**2)
-    for k in range(int(n)):
+    for k in range(n):
         h_k = profile / np.sqrt(max(2.0 * k, 1.0))
         previous, profile = h_k, 2.0 * xi * h_k - np.sqrt(2.0 * k) * previous
     values = np.exp(1j * p_x * X / spec.hbar) * profile
@@ -261,8 +255,8 @@ def symmetric_gauge_state(
     moves probability outward along rings of radius
     magnetic_length * sqrt(2 * angular) without changing the energy.
     """
-    _check_index(n, "level")
-    _check_index(angular, "angular")
+    n = _index(n, "level")
+    angular = _index(angular, "angular")
     length = spec.magnetic_length
     if grid is None:
         axis = _centered_axis(_ring_extent(spec, n, angular), length / 8.0)
@@ -406,9 +400,10 @@ PROBE_BUDGET = 2**21
 
 def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None = None):
     """The step for ``waves``; raises ResolutionError, before allocating, if an
-    axis over +-extent times ``columns`` (default: itself) passes the budget."""
+    axis over +-extent times ``columns`` (default: itself) passes the budget,
+    as it does for infinite ``waves``."""
     refine = 1
-    while waves**3 > 1000 * refine**4:
+    while waves**3 > 1000 * refine**4 and refine <= PROBE_BUDGET:
         refine *= 2
     step = spec.magnetic_length / (8.0 * refine)
     rows = 2 * int(np.ceil(extent / step)) + 1
@@ -421,6 +416,7 @@ def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
     """Eigenvalue residual of the level-n ridge with momentum p_x, probed at a
     step sized from the level over y past its turning points (at least 8 l
     each way) and 32 steps of x, along which it is a plane wave."""
+    n = _index(n, "level")
     half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
     waves = max(2 * n + 1, 2.0 * (p_x * spec.magnetic_length / spec.hbar) ** 2 + 1.0)
     step = _probe_step(spec, waves, half, columns=33)
@@ -436,6 +432,7 @@ def ring_residual(
     sized from the level and ring index. ``built``, the same state on any
     grid, is probed as it is when its axes equal the probe's, which saves a
     second build whenever the step is l/8."""
+    n, angular = _index(n, "level"), _index(angular, "angular")
     extent = _ring_extent(spec, n, angular)
     axis = _centered_axis(extent, _probe_step(spec, max(2 * n + 1, angular + 1), extent))
     if built is not None and np.array_equal(built.x, axis) and np.array_equal(built.y, axis):
@@ -614,7 +611,7 @@ def conductance_quantum(spec: LandauSpec) -> float:
 
 def ring_radius(spec: LandauSpec, angular: int) -> float:
     """Radius magnetic_length * sqrt(2 * angular) of the ring-state maximum."""
-    _check_index(angular, "angular")
+    angular = _index(angular, "angular")
     return float(spec.magnetic_length * np.sqrt(2.0 * angular))
 
 

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, bandwidth_order
-from .well import Eigenfunction, WellSpec, _check_level
+from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
+from .well import Eigenfunction, WellSpec
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,8 @@ class MomentumGrid:
     count: int = 4001
 
     def __post_init__(self):
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
-        if self.count < 3 or self.count % 2 == 0:
+        _positive(self.p_max, "p_max")
+        if _index(self.count, "count", 3) % 2 == 0:
             raise ValueError(f"count must be an odd integer >= 3, got {self.count}")
 
     @property
@@ -44,7 +43,6 @@ class MomentumGrid:
 
 def default_grid(spec: WellSpec, n: int) -> MomentumGrid:
     """Grid spanning ±20 spike momenta, wide enough for ~1e-5 tail mass."""
-    n = _check_level(n)
     return MomentumGrid(p_max=20.0 * spec.spike_momentum(n))
 
 
@@ -151,7 +149,6 @@ def analytic_density(spec: WellSpec, n: int, p):
     (k_n^2 - q^2)^2 near the spikes, where the density takes its exact
     limit a / (2 pi hbar).
     """
-    n = _check_level(n)
     a = spec.half_width
     k_n = spec.wavenumber(n)
     u = np.abs(np.asarray(p, dtype=float) / spec.hbar) - k_n
@@ -194,7 +191,6 @@ def spectrum(
     The transform's quadrature order grows with the grid's p_max, so high
     levels and wide windows do not alias.
     """
-    n = _check_level(n)
     grid = grid or default_grid(spec, n)
     amplitude = amplitude_transform(spec, n, grid.points)
     return ContinuousMomentumSpectrum(
@@ -219,8 +215,7 @@ def uncertainty_product(spec: WellSpec, n: int) -> UncertaintyProduct:
     momentum hbar k_n (the density is an even function with <p> = 0 and
     <p^2> = (hbar k_n)^2). The product always exceeds hbar/2.
     """
-    n = _check_level(n)
+    dp = spec.spike_momentum(n)
     variance_x = spec.half_width**2 * (1.0 / 3.0 - 2.0 / (n * np.pi) ** 2)
     dx = float(np.sqrt(variance_x))
-    dp = spec.spike_momentum(n)
     return UncertaintyProduct(dx, dp, dx * dp)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .momentum_continuous import _in_row_blocks, _plane_waves
-from .quadrature import QuadratureSettings, bandwidth_order
-from .well import WellSpec, _check_level
+from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
+from .well import WellSpec
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,14 @@ def matched_phase(n: int) -> ExtensionPhase:
     Odd-numbered states sit on the half-integer ladder (theta = pi), even
     ones on the integer ladder (theta = 0).
     """
-    n = _check_level(n)
+    n = _index(n, "level index", 1)
     return ExtensionPhase(theta=np.pi if n % 2 else 0.0)
 
 
 def _k_indices(k_range) -> np.ndarray:
-    if isinstance(k_range, (int, np.integer)):
-        if k_range < 0:
-            raise ValueError(f"k_range must be non-negative, got {k_range}")
-        return np.arange(-int(k_range), int(k_range) + 1)
+    if np.ndim(k_range) == 0:
+        m = _index(k_range, "k_range")
+        return np.arange(-m, m + 1)
     lo, hi = k_range
     if hi < lo:
         raise ValueError(f"empty index range ({lo}, {hi})")
@@ -131,10 +130,8 @@ def expand(
     on the non-negative half of the nodes (``_plane_waves``) and applied in
     row blocks, so memory stays bounded for any k_max.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
     a = spec.half_width
-    ks, momenta = allowed_momenta(spec, phase, k_max)
+    ks, momenta = allowed_momenta(spec, phase, _index(k_max, "k_max"))
     radians = a * float(np.abs(momenta).max()) / spec.hbar
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     values = np.asarray(state(x), dtype=complex)
@@ -166,7 +163,6 @@ def eigenstate_spectrum(spec: WellSpec, n: int) -> DiscreteMomentumSpectrum:
     momentum eigenfunctions, at ±(n pi hbar / 2 half_width), each carrying
     weight 1/2. The returned spectrum holds exactly those two entries.
     """
-    n = _check_level(n)
     phase = matched_phase(n)
     if n % 2:
         ks = np.array([-(n + 1) // 2, (n - 1) // 2])
@@ -208,11 +204,9 @@ def convergence_report(
     """
     from .momentum_continuous import analytic_density
 
-    n = _check_level(n)
     if window_half_width is None:
         window_half_width = np.pi * spec.hbar / (2.0 * spec.half_width)
-    if not 0 < window_half_width < np.inf:
-        raise ValueError(f"window_half_width must be positive and finite, got {window_half_width}")
+    _positive(window_half_width, "window_half_width")
 
     p_spike = spec.spike_momentum(n)
     windows = [

@@ -16,6 +16,22 @@ class ResolutionError(ValueError):
     """An input lies beyond what a method resolves within its stated budget."""
 
 
+def _index(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum``
+    raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def _positive(value, name: str):
+    """Raise ``ValueError`` naming ``name`` unless 0 < ``value`` < inf."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -37,8 +53,7 @@ class QuadratureSettings:
     order: int = 256
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"quadrature order must be at least 2, got {self.order}")
+        _index(self.order, "quadrature order", 2)
 
     def nodes(self, lo: float, hi: float):
         """Points and weights for integration over ``[lo, hi]``."""

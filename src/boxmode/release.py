@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum_continuous import _box_transform
-from .quadrature import ResolutionError
-from .well import Eigenfunction, WellSpec, _check_level
+from .quadrature import ResolutionError, _index
+from .well import Eigenfunction, WellSpec
 
 
-class AliasingError(RuntimeError):
+class AliasingError(ResolutionError):
     """The evolved state reached the periodic box edge; wrap-around would alias."""
 
 
@@ -107,7 +107,6 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     Raises ResolutionError when they would pass ``SAMPLE_BUDGET``, and
     ValueError for a non-finite t.
     """
-    n = _check_level(n)
     _check_time(t)
     a, m = spec.half_width, spec.mass
     t = abs(float(t))
@@ -136,13 +135,13 @@ def evolve_free(
     per half_width), the result would wrap around and alias, so an
     AliasingError is raised. A non-finite t raises ValueError.
     """
-    n = _check_level(n)
+    psi = Eigenfunction(spec, n)
     _check_time(t)
     if box is None:
         box = suggested_box(spec, n, t)
     length, samples = box
-    samples = int(samples)
-    if samples < 4 or samples & (samples - 1):
+    samples = _index(samples, "sample count", 4)
+    if samples & (samples - 1):
         raise ValueError(f"sample count must be a power of two >= 4, got {samples}")
     _check_budget(samples)
     if not length > 2.0 * spec.half_width:
@@ -150,7 +149,7 @@ def evolve_free(
 
     dx = length / samples
     x = (np.arange(samples) - samples // 2) * dx
-    psi0 = Eigenfunction(spec, n)(x).astype(complex)
+    psi0 = psi(x).astype(complex)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
 
     if t == 0:

@@ -6,15 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, bandwidth_order
-
-
-def _check_level(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"level index must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"level index must be at least 1, got {n}")
-    return int(n)
+from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
 
 
 @dataclass(frozen=True)
@@ -31,13 +23,11 @@ class WellSpec:
 
     def __post_init__(self):
         for name in ("half_width", "mass", "hbar"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _positive(getattr(self, name), name)
 
     def wavenumber(self, n: int) -> float:
         """Wavenumber of the n-th stationary state, n*pi/(2*half_width)."""
-        n = _check_level(n)
+        n = _index(n, "level index", 1)
         return n * np.pi / (2.0 * self.half_width)
 
     def energy(self, n: int) -> float:
@@ -54,14 +44,14 @@ class Eigenfunction:
 
     Odd-numbered levels are even functions cos(k_n x)/sqrt(a); even-numbered
     levels are odd functions sin(k_n x)/sqrt(a). Both vanish identically
-    outside the walls, including exactly at x = ±a, and at ±inf. A nan
-    sample raises ``ValueError``.
+    outside the walls, including exactly at x = ±a, and at ±inf, where no
+    trigonometry is taken. A nan sample raises ``ValueError``.
     """
 
     def __init__(self, spec: WellSpec, n: int):
         self.spec = spec
-        self.n = _check_level(n)
-        self.wavenumber = spec.wavenumber(n)
+        self.n = _index(n, "level index", 1)
+        self.wavenumber = spec.wavenumber(self.n)
         self._amplitude = 1.0 / np.sqrt(spec.half_width)
         self._trig = np.cos if self.n % 2 else np.sin
 
@@ -70,7 +60,10 @@ class Eigenfunction:
         if np.isnan(x).any():
             raise ValueError("x must not be nan")
         inside = np.abs(x) < self.spec.half_width
-        values = np.where(inside, self._amplitude * self._trig(self.wavenumber * x), 0.0)
+        values = np.multiply(self.wavenumber, x, out=np.empty(x.shape))
+        self._trig(values, out=values, where=inside)
+        values[~inside] = 0.0
+        values *= self._amplitude
         return float(values) if values.ndim == 0 else values
 
     @property

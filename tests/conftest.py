@@ -27,7 +27,7 @@ def spec():
 
 @pytest.fixture
 def landau():
-    return LandauSpec.natural()
+    return LandauSpec()
 
 
 @pytest.fixture

@@ -254,7 +254,7 @@ def test_degeneracy_counted_three_ways_agrees():
     ]
     spreads = []
     for B, Lx, Ly in cases:
-        report = degeneracy(LandauSpec.natural(B=B, Lx=Lx, Ly=Ly))
+        report = degeneracy(LandauSpec(B=B, Lx=Lx, Ly=Ly))
         assert report.flux_count == int(report.ratio)
         spreads.append(report.spread)
     passed = max(spreads) <= 1
@@ -269,9 +269,9 @@ def test_hall_conductance_is_one_quantum_per_level():
     """The per-level Hall conductance equals charge^2 / (2 pi hbar) to
     1e-12, independent of field, geometry, and voltage."""
     cases = [
-        LandauSpec.natural(),
-        LandauSpec.natural(B=0.3, Lx=7.0, Ly=4.0),
-        LandauSpec.natural(B=4.0, Lx=12.0, Ly=33.0),
+        LandauSpec(),
+        LandauSpec(B=0.3, Lx=7.0, Ly=4.0),
+        LandauSpec(B=4.0, Lx=12.0, Ly=33.0),
         LandauSpec(B=0.7, charge=2.0, mass=3.0, light_speed=137.0, hbar=0.5),
         LandauSpec(B=2.2, charge=-0.4, Lx=18.0, Ly=3.0),
     ]

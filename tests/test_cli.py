@@ -170,6 +170,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("momentum", "compare", "--window", "inf"),
         ("landau", "hall", "--voltage", "nan"),
         ("landau", "hall", "--voltage", "inf"),
+        # The grid edge aliases: an AliasingError, one of the ResolutionErrors.
+        ("release", "evolve", "--box-length", "16", "--samples", "2048", "--t", "5"),
     ],
 )
 def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
@@ -202,7 +204,7 @@ def test_release_evolve_past_sample_budget(tmp_path, capsys):
 
 
 def test_probe_step_follows_level_and_ring_index():
-    spec = LandauSpec.natural()
+    spec = LandauSpec()
     levels = (0, 1, 10, 40, 120, 200)
     steps = [_probe_step(spec, 2 * n + 1, 8.0, columns=33) for n in levels]
     assert [round(1.0 / 8.0 / step) for step in steps] == [1, 1, 2, 8, 16, 16]
@@ -213,7 +215,7 @@ def test_probe_step_follows_level_and_ring_index():
 @pytest.mark.parametrize("field", [0.8, 2.5])
 def test_low_level_probes_keep_the_eighth_length_ridge_grid(field):
     # Levels 0 and 1 probe exactly the grid `landau checks` always used.
-    spec = LandauSpec.natural(B=field)
+    spec = LandauSpec(B=field)
     length, p_x = spec.magnetic_length, 0.5 * spec.hbar / spec.magnetic_length
     grid = (
         _axis(0.0, 4.0 * length, length / 8.0),
@@ -240,20 +242,32 @@ def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monke
     capsys.readouterr()
     assert len(builds) == 1
     # The reused state gives the residual a fresh build on the probe grid gives.
-    spec = LandauSpec.natural()
+    spec = LandauSpec()
     state = symmetric_gauge_state(spec, 3, 8)
     assert ring_residual(spec, 3, 8, state) == ring_residual(spec, 3, 8)
 
 
 def test_probe_past_budget_raises():
-    spec = LandauSpec.natural()
+    spec = LandauSpec()
     for probe in (
         lambda: ring_residual(spec, 60, 30),
         lambda: ring_residual(spec, 0, 400),
         lambda: ridge_residual(spec, 5000, 0.5),
+        # Refining for an infinite momentum stops at the budget.
+        lambda: ridge_residual(spec, 0, np.inf),
     ):
         with pytest.raises(ResolutionError, match=f"exceeds {PROBE_BUDGET} points"):
             probe()
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("command", ["state", "checks"])
+def test_positive_charge_default_probe_stays_in_the_rectangle(tmp_path, capsys, command):
+    # A guiding line outside [0, Ly] warns; the default p_x puts it at l/2.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("units = custom\n[landau]\ncharge = 1.0\n", encoding="utf-8")
+    assert run_in(tmp_path / "out", "landau", command, "--config", str(cfg)) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_help_exits_cleanly(capsys):

@@ -1,0 +1,151 @@
+"""One table over every integer-index and positive-finite input rule.
+
+Each entry names a public call and the parameter its message must name.
+Index rules reject a bool, a float-valued integer, a value half way between
+integers, a value below their minimum, nan and ±inf; positive rules reject 0,
+a negative value, nan and ±inf. Every bad value must raise a ``ValueError``
+naming the parameter, never a numpy ``TypeError``, a truncated grid or a nan
+table.
+"""
+
+import re
+from argparse import Namespace
+
+import numpy as np
+import pytest
+
+from boxmode import (
+    Eigenfunction,
+    ExtensionPhase,
+    LandauSpec,
+    MomentumGrid,
+    QuadratureSettings,
+    WellSpec,
+    allowed_momenta,
+    amplitude_transform,
+    analytic_density,
+    convergence_report,
+    default_grid,
+    eigenstate_spectrum,
+    evolve_free,
+    expand,
+    farfield_map,
+    level_energy,
+    landau_gauge_state,
+    matched_phase,
+    ring_radius,
+    spectrum,
+    state_overlap,
+    suggested_box,
+    symmetric_gauge_state,
+    uncertainty_product,
+)
+from boxmode.cli import (
+    RunConfig,
+    cmd_momentum_discrete,
+    cmd_release_farfield,
+    cmd_well_energies,
+)
+from boxmode.landau import ridge_residual, ring_residual
+
+WELL = WellSpec()
+LANDAU = LandauSpec()
+PHASE = ExtensionPhase(np.pi)
+RC = RunConfig()
+
+# (label, call taking the bad value, parameter named, minimum, a valid value)
+INDEX_RULES = [
+    ("wavenumber", lambda v: WELL.wavenumber(v), "level index", 1, 2),
+    ("Eigenfunction", lambda v: Eigenfunction(WELL, v), "level index", 1, 2),
+    ("state_overlap", lambda v: state_overlap(WELL, 1, v), "level index", 1, 2),
+    ("default_grid", lambda v: default_grid(WELL, v), "level index", 1, 2),
+    ("amplitude_transform", lambda v: amplitude_transform(WELL, v, 0.0), "level index", 1, 2),
+    ("analytic_density", lambda v: analytic_density(WELL, v, 0.0), "level index", 1, 2),
+    ("spectrum", lambda v: spectrum(WELL, v), "level index", 1, 2),
+    ("uncertainty_product", lambda v: uncertainty_product(WELL, v), "level index", 1, 2),
+    ("matched_phase", matched_phase, "level index", 1, 2),
+    ("eigenstate_spectrum", lambda v: eigenstate_spectrum(WELL, v), "level index", 1, 2),
+    ("convergence_report", lambda v: convergence_report(WELL, v), "level index", 1, 2),
+    ("suggested_box", lambda v: suggested_box(WELL, v, 1.0), "level index", 1, 2),
+    ("evolve_free", lambda v: evolve_free(WELL, v, 0.0, box=(16.0, 2048)), "level index", 1, 2),
+    ("farfield_map", lambda v: farfield_map(WELL, v, 50.0, 0.0), "level index", 1, 2),
+    ("expand", lambda v: expand(WELL, Eigenfunction(WELL, 1), PHASE, v), "k_max", 0, 2),
+    ("allowed_momenta", lambda v: allowed_momenta(WELL, PHASE, v), "k_range", 0, 3),
+    ("QuadratureSettings", QuadratureSettings, "quadrature order", 2, 2),
+    ("MomentumGrid count", lambda v: MomentumGrid(1.0, v), "count", 3, 5),
+    ("box samples", lambda v: evolve_free(WELL, 1, 0.0, box=(32.0, v)), "sample count", 4, 4096),
+    ("level_energy", lambda v: level_energy(LANDAU, v), "level", 0, 1),
+    ("landau_gauge_state", lambda v: landau_gauge_state(LANDAU, v, 0.5), "level", 0, 1),
+    ("symmetric_gauge_state", lambda v: symmetric_gauge_state(LANDAU, v, 0), "level", 0, 1),
+    ("symmetric angular", lambda v: symmetric_gauge_state(LANDAU, 0, v), "angular", 0, 1),
+    ("ridge_residual", lambda v: ridge_residual(LANDAU, v, 0.5), "level", 0, 1),
+    ("ring_residual", lambda v: ring_residual(LANDAU, v, 0), "level", 0, 1),
+    ("ring_residual angular", lambda v: ring_residual(LANDAU, 0, v), "angular", 0, 1),
+    ("ring_radius", lambda v: ring_radius(LANDAU, v), "angular", 0, 1),
+    ("well energies", lambda v: cmd_well_energies(Namespace(n_max=v), WELL, RC), "--n-max", 1, 2),
+    (
+        "momentum discrete",
+        lambda v: cmd_momentum_discrete(Namespace(n=1, k_max=v), WELL, RC),
+        "--k-max",
+        1,
+        2,
+    ),
+]
+
+POSITIVE_RULES = [
+    *(
+        (f"WellSpec {n}", lambda v, n=n: WellSpec(**{n: v}), n)
+        for n in ("half_width", "mass", "hbar")
+    ),
+    *(
+        (f"LandauSpec {n}", lambda v, n=n: LandauSpec(**{n: v}), n)
+        for n in ("B", "mass", "light_speed", "hbar", "Lx", "Ly")
+    ),
+    ("MomentumGrid p_max", lambda v: MomentumGrid(v), "p_max"),
+    (
+        "convergence_report",
+        lambda v: convergence_report(WELL, 1, window_half_width=v),
+        "window_half_width",
+    ),
+    (
+        "release farfield",
+        lambda v: cmd_release_farfield(Namespace(n=1, t=50.0, probe_max=v), WELL, RC),
+        "--probe-max",
+    ),
+]
+
+
+def _index_cases():
+    for label, call, name, minimum, valid in INDEX_RULES:
+        for bad in (True, float(valid), valid + 0.5, minimum - 1, np.nan, np.inf, -np.inf):
+            yield pytest.param(call, name, bad, id=f"{label}-{bad!r}")
+
+
+def _positive_cases():
+    for label, call, name in POSITIVE_RULES:
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            yield pytest.param(call, name, bad, id=f"{label}-{bad!r}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name, bad", [*_index_cases(), *_positive_cases()])
+def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QuadratureSettings(2),
+        lambda: MomentumGrid(1.0, 3),
+        lambda: MomentumGrid(1e300, np.int64(5)),
+        lambda: expand(WELL, Eigenfunction(WELL, 1), PHASE, np.int64(0)),
+        lambda: allowed_momenta(WELL, PHASE, (-2, 3)),
+        lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
+        lambda: level_energy(LANDAU, np.int32(0)),
+        lambda: WellSpec(half_width=5e-324),
+    ],
+)
+def test_values_at_each_rule_edge_pass(call):
+    call()

@@ -67,6 +67,17 @@ def test_natural_preset(landau):
     assert landau.flux_quantum == pytest.approx(2.0 * np.pi, rel=1e-15)
 
 
+@pytest.mark.parametrize("charge", [-1.0, -2.0, 1.0, 2.0])
+def test_probe_momentum_puts_the_guiding_line_at_half_a_length(charge):
+    spec = LandauSpec(B=3.0, charge=charge, hbar=1.3)
+    assert spec.guiding_line(spec.probe_momentum) == pytest.approx(
+        0.5 * spec.magnetic_length, rel=1e-15
+    )
+    if charge < 0:
+        # Bitwise the momentum the CLI used before it knew the charge's sign.
+        assert spec.probe_momentum == 0.5 * spec.hbar / spec.magnetic_length
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -416,7 +427,7 @@ def test_degeneracy_at_flux_1e8():
     "B, Lx, Ly", [(0.5, 5.0, 5.0), (2.0, 15.0, 20.0), (1.3, 25.0, 24.7)]
 )
 def test_degeneracy_counts_agree_within_one(B, Lx, Ly):
-    report = degeneracy(LandauSpec.natural(B=B, Lx=Lx, Ly=Ly))
+    report = degeneracy(LandauSpec(B=B, Lx=Lx, Ly=Ly))
     assert report.flux_count == int(report.ratio)
     assert report.spread <= 1
 
@@ -434,7 +445,7 @@ def test_hall_conductance_is_quantized(landau):
     [(0.3, 7.0, 4.0, 0.25), (4.0, 12.0, 33.0, -2.0), (1.0, 10.0, 10.0, 5.0)],
 )
 def test_hall_conductance_independent_of_geometry(B, Lx, Ly, voltage):
-    spec = LandauSpec.natural(B=B, Lx=Lx, Ly=Ly)
+    spec = LandauSpec(B=B, Lx=Lx, Ly=Ly)
     report = hall_current(spec, voltage)
     assert report.conductance == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-13)
 

@@ -63,6 +63,8 @@ def test_suggested_box_rejects_non_finite_time(spec, t):
 def test_undersized_box_raises_aliasing_error(spec):
     with pytest.raises(AliasingError):
         evolve_free(spec, 1, 5.0, box=ALIGNED_BOX)
+    # "Beyond resolution" is one typed family.
+    assert issubclass(AliasingError, ResolutionError)
 
 
 def test_snapshot_norm_guard():

@@ -79,10 +79,22 @@ def test_nan_sample_rejected_and_infinity_outside(spec):
     for x in (np.nan, np.array([0.0, np.nan])):
         with pytest.raises(ValueError, match="x must not be nan"):
             psi(x)
-    # cos(±inf) is nan, but the walls mask it: ±inf lies outside.
-    with np.errstate(invalid="ignore"):
-        assert psi(np.inf) == 0.0
-        assert np.all(psi(np.array([-np.inf, 0.5, np.inf])) == [0.0, psi(0.5), 0.0])
+    # ±inf lies outside the walls.
+    assert psi(np.inf) == 0.0
+    assert np.all(psi(np.array([-np.inf, 0.5, np.inf])) == [0.0, psi(0.5), 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2])
+def test_trigonometry_only_inside_the_walls(spec, n):
+    # cos(±inf) and sin(±inf) warn "invalid value"; outside samples take none.
+    psi = Eigenfunction(spec, n)
+    x = np.array([-np.inf, -3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, np.inf])
+    values = psi(x)
+    inside = np.abs(x) < spec.half_width
+    assert np.all(values[~inside] == 0.0)
+    expected = psi._trig(psi.wavenumber * x[inside]) / np.sqrt(spec.half_width)
+    assert np.array_equal(values[inside], expected)
 
 
 def test_eigenfunction_energy_property(spec):

@@ -292,11 +292,10 @@ def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     energy_drift = abs(
         grid_kinetic_energy(snapshot, spec) / grid_kinetic_energy(reference, spec) - 1.0
     )
-    edge = max(snapshot.density[0], snapshot.density[-1])
     checks = [
         check("norm-conservation", snapshot.norm() - 1.0, 1e-9),
         check("energy-conservation", energy_drift, 1e-9),
-        check("edge-density", edge, 1e-10 / spec.half_width),
+        check("edge-density", snapshot.edge_density, 1e-10 / spec.half_width),
     ]
     rows = np.column_stack((snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
     return checks, {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)}
@@ -423,74 +422,94 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: ``run`` reuses it for every call."""
-    parser = argparse.ArgumentParser(
-        prog="boxmode",
-        description="Box states in momentum space, sudden release, Landau levels.",
-    )
-    groups = parser.add_subparsers(dest="group", required=True)
+def _leaf(commands, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    sub = commands.add_parser(name, help=help_text)
+    _add_common(sub)
+    sub.set_defaults(handler=handler)
+    return sub
 
-    def leaf(group_parser, name, handler, **kwargs):
-        sub = group_parser.add_parser(name, **kwargs)
-        _add_common(sub)
-        sub.set_defaults(handler=handler)
-        return sub
 
-    well = groups.add_parser("well", help="stationary box states")
-    well_sub = well.add_subparsers(dest="command", required=True)
-    p = leaf(well_sub, "energies", cmd_well_energies, help="level energies table")
+def _well_leaves(commands):
+    p = _leaf(commands, "energies", cmd_well_energies, "level energies table")
     p.add_argument("--n-max", type=int, default=10)
-    p = leaf(well_sub, "eigenfunction", cmd_well_eigenfunction, help="sampled eigenfunction")
+    p = _leaf(commands, "eigenfunction", cmd_well_eigenfunction, "sampled eigenfunction")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--samples", type=int, default=801)
 
-    momentum = groups.add_parser("momentum", help="momentum-space content")
-    momentum_sub = momentum.add_subparsers(dest="command", required=True)
-    p = leaf(momentum_sub, "continuous", cmd_momentum_continuous, help="continuous density")
+
+def _momentum_leaves(commands):
+    p = _leaf(commands, "continuous", cmd_momentum_continuous, "continuous density")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--p-max", type=_finite, default=None)
     p.add_argument("--count", type=int, default=4001)
-    p = leaf(momentum_sub, "discrete", cmd_momentum_discrete, help="ladder weights")
+    p = _leaf(commands, "discrete", cmd_momentum_discrete, "ladder weights")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k-max", type=int, default=64)
-    p = leaf(momentum_sub, "compare", cmd_momentum_compare, help="density plus spike sidecar")
+    p = _leaf(commands, "compare", cmd_momentum_compare, "density plus spike sidecar")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--window", type=_finite, default=None)
 
-    release = groups.add_parser("release", help="free flight after wall removal")
-    release_sub = release.add_subparsers(dest="command", required=True)
-    p = leaf(release_sub, "evolve", cmd_release_evolve, help="evolved snapshot")
+
+def _release_leaves(commands):
+    p = _leaf(commands, "evolve", cmd_release_evolve, "evolved snapshot")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", type=_finite, default=1.0)
     p.add_argument("--box-length", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p = leaf(release_sub, "farfield", cmd_release_farfield, help="ballistic momentum map")
+    p = _leaf(commands, "farfield", cmd_release_farfield, "ballistic momentum map")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", type=_finite, default=50.0)
     p.add_argument("--probe-max", type=_finite, default=None)
 
-    landau = groups.add_parser("landau", help="Landau levels on a rectangle")
-    landau_sub = landau.add_subparsers(dest="command", required=True)
 
-    def landau_leaf(name, handler, **kwargs):
-        sub = leaf(landau_sub, name, handler, **kwargs)
+def _landau_leaves(commands):
+    def landau_leaf(name, handler, help_text):
+        sub = _leaf(commands, name, handler, help_text)
         sub.add_argument("--field", type=_finite, default=1.0)
         sub.add_argument("--edge-x", type=_finite, default=10.0)
         sub.add_argument("--edge-y", type=_finite, default=10.0)
         return sub
 
-    p = landau_leaf("state", cmd_landau_state, help="sampled level state")
+    p = landau_leaf("state", cmd_landau_state, "sampled level state")
     p.add_argument("--gauge", choices=("landau", "symmetric"), default="landau")
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--p-x", type=_finite, default=None)
     p.add_argument("--angular", type=int, default=0)
-    landau_leaf("degeneracy", cmd_landau_degeneracy, help="three degeneracy counts")
-    p = landau_leaf("hall", cmd_landau_hall, help="per-level Hall response")
+    landau_leaf("degeneracy", cmd_landau_degeneracy, "three degeneracy counts")
+    p = landau_leaf("hall", cmd_landau_hall, "per-level Hall response")
     p.add_argument("--voltage", type=_finite, default=1.0)
-    landau_leaf("checks", cmd_landau_checks, help="stencil and commutator battery")
+    landau_leaf("checks", cmd_landau_checks, "stencil and commutator battery")
 
+
+# Group name -> (help, the function adding the group's leaf parsers).
+_GROUPS = {
+    "well": ("stationary box states", _well_leaves),
+    "momentum": ("momentum-space content", _momentum_leaves),
+    "release": ("free flight after wall removal", _release_leaves),
+    "landau": ("Landau levels on a rectangle", _landau_leaves),
+}
+
+
+@functools.cache
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and ``group``.
+
+    Every group parser is always there, so the top-level help and an unknown
+    group read the same either way; leaf parsers are built only under
+    ``group``, or under every group when it is None. ``run`` passes the
+    group its argv names, so a run builds only the leaves it can reach.
+    """
+    parser = argparse.ArgumentParser(
+        prog="boxmode",
+        description="Box states in momentum space, sudden release, Landau levels.",
+    )
+    groups = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, add_leaves) in _GROUPS.items():
+        commands = groups.add_parser(name, help=help_text).add_subparsers(
+            dest="command", required=True
+        )
+        if group in (None, name):
+            add_leaves(commands)
     return parser
 
 
@@ -510,9 +529,10 @@ def _resolve_config(args) -> RunConfig:
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    group = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(group).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import ResolutionError, _index, _positive
+from .quadrature import ResolutionError, _finite, _index, _positive
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,9 @@ class LandauSpec:
         return 2.0 * np.pi * self.hbar * self.light_speed / abs(self.charge)
 
     def guiding_line(self, p_x: float) -> float:
-        """Height y = -c p_x / (charge B) of the guiding line for momentum p_x."""
+        """Height y = -c p_x / (charge B) of the guiding line for momentum p_x;
+        a non-finite p_x raises ``ValueError``."""
+        _finite(p_x, "p_x")
         return -self.light_speed * p_x / (self.charge * self.B)
 
     @property
@@ -196,7 +198,8 @@ def landau_gauge_state(
     centered on the guiding line y = -c p_x / (charge B). Warns when that
     line lies outside [0, Ly], where the default grid cannot hold the ridge.
     The grid defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass
-    a custom (x, y) pair to study the state on its own support.
+    a custom (x, y) pair to study the state on its own support. A non-finite
+    p_x raises ``ValueError``.
     """
     n = _index(n, "level")
     length = spec.magnetic_length
@@ -417,10 +420,11 @@ def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
     step sized from the level over y past its turning points (at least 8 l
     each way) and 32 steps of x, along which it is a plane wave."""
     n = _index(n, "level")
+    y_guide = spec.guiding_line(p_x)
     half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
     waves = max(2 * n + 1, 2.0 * (p_x * spec.magnetic_length / spec.hbar) ** 2 + 1.0)
     step = _probe_step(spec, waves, half, columns=33)
-    grid = (np.linspace(0.0, 32.0 * step, 33), spec.guiding_line(p_x) + _centered_axis(half, step))
+    grid = (np.linspace(0.0, 32.0 * step, 33), y_guide + _centered_axis(half, step))
     state = landau_gauge_state(spec, n, p_x, grid=grid)
     return hamiltonian_residual(spec, landau_gauge(spec.B), state, level_energy(spec, n))
 

@@ -60,10 +60,11 @@ def amplitude_transform(spec: WellSpec, n: int, p):
     return _box_transform(spec, psi, p, psi.wavenumber * spec.half_width)
 
 
-# Rows of a box-transform kernel built at once: a block holds 4 MiB of complex
-# entries at the default 256 nodes and 32 MiB at the 2048-node budget, however
-# many momenta are asked for.
-KERNEL_ROWS = 1024
+# Rows of a box-transform kernel built at once: a block holds 0.5 MiB of complex
+# entries at the default 256 nodes, which stays in a 2 MiB L2 cache between the
+# cos/sin fill and the matrix-vector product, and 4 MiB at the 2048-node budget,
+# however many momenta are asked for.
+KERNEL_ROWS = 128
 
 
 def _in_row_blocks(rows: np.ndarray, block) -> np.ndarray:

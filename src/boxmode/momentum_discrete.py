@@ -54,24 +54,25 @@ def _k_indices(k_range) -> np.ndarray:
         m = _index(k_range, "k_range")
         return np.arange(-m, m + 1)
     lo, hi = k_range
+    lo, hi = _index(lo, "k_min", None), _index(hi, "k_max", None)
     if hi < lo:
         raise ValueError(f"empty index range ({lo}, {hi})")
-    return np.arange(int(lo), int(hi) + 1)
+    return np.arange(lo, hi + 1)
 
 
 def allowed_momenta(spec: WellSpec, phase: ExtensionPhase, k_range):
     """Indices and momenta of one extension's ladder.
 
     ``k_range`` is either an int m (meaning indices -m..m) or an inclusive
-    (k_min, k_max) pair. Momenta come back strictly increasing in k.
+    (k_min, k_max) pair of ints. Momenta come back strictly increasing in k.
     """
     ks = _k_indices(k_range)
     return ks, phase.momentum(spec, ks)
 
 
 def basis_state(spec: WellSpec, phase: ExtensionPhase, k: int):
-    """Normalized momentum eigenfunction for index k, callable on arrays."""
-    p_k = float(phase.momentum(spec, k))
+    """Normalized momentum eigenfunction for integer index k, callable on arrays."""
+    p_k = float(phase.momentum(spec, _index(k, "ladder index k", None)))
     amplitude = 1.0 / np.sqrt(2.0 * spec.half_width)
 
     def u(x):

@@ -1,4 +1,10 @@
-"""Gauss-Legendre quadrature with cached nodes, and a bandwidth-based order."""
+"""Gauss-Legendre quadrature with cached nodes, and a bandwidth-based order.
+
+The default 256-node rule, the one most box integrals use, ships as a
+constant (``_legendre256``) holding the exact bits ``leggauss(256)`` gives,
+so a run at that order solves no eigenproblem and never imports
+``numpy.polynomial``. Every other order calls ``leggauss`` once per process.
+"""
 
 from __future__ import annotations
 
@@ -16,12 +22,12 @@ class ResolutionError(ValueError):
     """An input lies beyond what a method resolves within its stated budget."""
 
 
-def _index(value, name: str, minimum: int = 0) -> int:
+def _index(value, name: str, minimum: int | None = 0) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``minimum``
-    raises ``ValueError`` naming ``name``."""
+    (when given) raises ``ValueError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
@@ -32,8 +38,22 @@ def _positive(value, name: str):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _finite(value, name: str):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(order: int):
+    """Nodes and weights of the ``order``-node rule on [-1, 1], as
+    ``leggauss(order)`` returns them; 256 nodes come from the shipped half
+    rule, mirrored."""
+    if order == 256:
+        from ._legendre256 import NODES, WEIGHTS
+
+        nodes, weights = np.array(NODES), np.array(WEIGHTS)
+        return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
     return np.polynomial.legendre.leggauss(order)
 
 
@@ -47,7 +67,9 @@ class QuadratureSettings:
         Number of nodes. The default 256 resolves integrands whose phase
         turns through up to about 430 radians over half the interval; the
         package's box integrals take their order from ``bandwidth_order``,
-        which never drops below this default.
+        which never drops below this default. The 256-node rule is shipped
+        as a constant; any other order is computed by ``leggauss`` on its
+        first use in a process (~0.7 s at 2048 nodes).
     """
 
     order: int = 256

@@ -12,11 +12,12 @@ momentum density as the flight time grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .momentum_continuous import _box_transform
-from .quadrature import ResolutionError, _index
+from .quadrature import ResolutionError, _finite, _index, _positive
 from .well import Eigenfunction, WellSpec
 
 
@@ -30,11 +31,6 @@ _EDGE_DENSITY_LIMIT = 1e-10
 # Largest grid evolve_free builds, the size of the far-field grid this package
 # once ran: its ~96 bytes of full-length arrays per sample come to 1.6 GB.
 SAMPLE_BUDGET = 2**24
-
-
-def _check_time(t: float):
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
 
 
 def _check_budget(samples: float):
@@ -55,7 +51,7 @@ class EvolutionSnapshot:
             raise ValueError("x and psi must be 1-D arrays of equal length")
         if self.x.size < 2:
             raise ValueError("a snapshot needs at least two samples")
-        norm = float(np.sum(np.abs(self.psi) ** 2) * self.dx)
+        norm = self.norm()
         if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"snapshot norm is {norm:.8f}, expected 1 within 1e-6")
 
@@ -67,9 +63,15 @@ class EvolutionSnapshot:
     def box_length(self) -> float:
         return self.dx * self.x.size
 
-    @property
+    @cached_property
     def density(self) -> np.ndarray:
+        """|psi|^2 at every sample, computed once per snapshot."""
         return np.abs(self.psi) ** 2
+
+    @property
+    def edge_density(self) -> float:
+        """The larger density of the two end samples."""
+        return max(self.density[0], self.density[-1])
 
     def norm(self) -> float:
         return float(np.sum(self.density) * self.dx)
@@ -107,7 +109,7 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     Raises ResolutionError when they would pass ``SAMPLE_BUDGET``, and
     ValueError for a non-finite t.
     """
-    _check_time(t)
+    _finite(t, "t")
     a, m = spec.half_width, spec.mass
     t = abs(float(t))
     dx = a / 128.0
@@ -136,7 +138,7 @@ def evolve_free(
     AliasingError is raised. A non-finite t raises ValueError.
     """
     psi = Eigenfunction(spec, n)
-    _check_time(t)
+    _finite(t, "t")
     if box is None:
         box = suggested_box(spec, n, t)
     length, samples = box
@@ -144,6 +146,7 @@ def evolve_free(
     if samples & (samples - 1):
         raise ValueError(f"sample count must be a power of two >= 4, got {samples}")
     _check_budget(samples)
+    _positive(length, "box length")
     if not length > 2.0 * spec.half_width:
         raise ValueError("box must be longer than the distance between the walls")
 
@@ -160,10 +163,9 @@ def evolve_free(
         psi_t = np.fft.ifft(np.fft.fft(psi0) * phase)
 
     snapshot = EvolutionSnapshot(t=float(t), x=x, psi=psi_t)
-    edge_density = max(snapshot.density[0], snapshot.density[-1])
-    if edge_density > _EDGE_DENSITY_LIMIT / spec.half_width:
+    if snapshot.edge_density > _EDGE_DENSITY_LIMIT / spec.half_width:
         raise AliasingError(
-            f"edge density {edge_density:.3e} exceeds "
+            f"edge density {snapshot.edge_density:.3e} exceeds "
             f"{_EDGE_DENSITY_LIMIT / spec.half_width:.1e}; "
             "enlarge the box or shorten the flight time"
         )

@@ -1,4 +1,10 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,8 +259,9 @@ def test_probe_past_budget_raises():
         lambda: ring_residual(spec, 60, 30),
         lambda: ring_residual(spec, 0, 400),
         lambda: ridge_residual(spec, 5000, 0.5),
-        # Refining for an infinite momentum stops at the budget.
-        lambda: ridge_residual(spec, 0, np.inf),
+        # Refining for a huge momentum stops at the budget; a non-finite one
+        # is rejected by name first (tests/test_edge_inputs.py).
+        lambda: ridge_residual(spec, 0, 1e6),
     ):
         with pytest.raises(ResolutionError, match=f"exceeds {PROBE_BUDGET} points"):
             probe()
@@ -274,6 +281,62 @@ def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == 0
     assert run(["well", "--help"]) == 0
     capsys.readouterr()
+
+
+LEAVES = {
+    "well": ("energies", "eigenfunction"),
+    "momentum": ("continuous", "discrete", "compare"),
+    "release": ("evolve", "farfield"),
+    "landau": ("state", "degeneracy", "hall", "checks"),
+}
+
+
+def _parser_probes():
+    yield (), ("--help",), ("bogus",), ("bogus", "--help")
+    for group, leaves in LEAVES.items():
+        yield (group,), (group, "--help"), (group, "bogus")
+        yield from ((group, leaf, "--help") for leaf in leaves)
+
+
+def _outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for probes in _parser_probes() for argv in probes],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_group_scoped_parser_reads_as_the_full_tree(argv):
+    """``run`` builds only the named group's leaves; every help text, usage
+    error and exit code must still be the full tree's."""
+    full = _outcome(build_parser().parse_args, argv)
+    assert full[2] in (0, 2)
+    assert _outcome(run, argv) == full
+
+
+def test_farfield_run_never_imports_numpy_polynomial(tmp_path):
+    """The default 256-node rule ships as a constant: a far-field run solves
+    no leggauss eigenproblem, so numpy.polynomial is never imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from boxmode.cli import run\n"
+        f"code = run(['release', 'farfield', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -2,10 +2,11 @@
 
 Each entry names a public call and the parameter its message must name.
 Index rules reject a bool, a float-valued integer, a value half way between
-integers, a value below their minimum, nan and ±inf; positive rules reject 0,
-a negative value, nan and ±inf. Every bad value must raise a ``ValueError``
-naming the parameter, never a numpy ``TypeError``, a truncated grid or a nan
-table.
+integers, a value below their minimum (when they have one), nan and ±inf;
+positive rules reject 0, a negative value, nan and ±inf; finite rules reject
+nan and ±inf. Every bad value must raise a ``ValueError`` naming the
+parameter, never a numpy ``TypeError``, a truncated grid, a nan table or a
+warning.
 """
 
 import re
@@ -47,13 +48,14 @@ from boxmode.cli import (
     cmd_well_energies,
 )
 from boxmode.landau import ridge_residual, ring_residual
+from boxmode.momentum_discrete import basis_state
 
 WELL = WellSpec()
 LANDAU = LandauSpec()
 PHASE = ExtensionPhase(np.pi)
 RC = RunConfig()
 
-# (label, call taking the bad value, parameter named, minimum, a valid value)
+# (label, call taking the bad value, parameter named, minimum or None, a valid value)
 INDEX_RULES = [
     ("wavenumber", lambda v: WELL.wavenumber(v), "level index", 1, 2),
     ("Eigenfunction", lambda v: Eigenfunction(WELL, v), "level index", 1, 2),
@@ -71,6 +73,9 @@ INDEX_RULES = [
     ("farfield_map", lambda v: farfield_map(WELL, v, 50.0, 0.0), "level index", 1, 2),
     ("expand", lambda v: expand(WELL, Eigenfunction(WELL, 1), PHASE, v), "k_max", 0, 2),
     ("allowed_momenta", lambda v: allowed_momenta(WELL, PHASE, v), "k_range", 0, 3),
+    ("allowed_momenta k_min", lambda v: allowed_momenta(WELL, PHASE, (v, 3)), "k_min", None, -2),
+    ("allowed_momenta k_max", lambda v: allowed_momenta(WELL, PHASE, (-2, v)), "k_max", None, 3),
+    ("basis_state", lambda v: basis_state(WELL, PHASE, v), "ladder index k", None, 2),
     ("QuadratureSettings", QuadratureSettings, "quadrature order", 2, 2),
     ("MomentumGrid count", lambda v: MomentumGrid(1.0, v), "count", 3, 5),
     ("box samples", lambda v: evolve_free(WELL, 1, 0.0, box=(32.0, v)), "sample count", 4, 4096),
@@ -112,12 +117,19 @@ POSITIVE_RULES = [
         lambda v: cmd_release_farfield(Namespace(n=1, t=50.0, probe_max=v), WELL, RC),
         "--probe-max",
     ),
+    ("box length", lambda v: evolve_free(WELL, 1, 0.0, box=(v, 4096)), "box length"),
+]
+
+FINITE_RULES = [
+    ("landau_gauge_state p_x", lambda v: landau_gauge_state(LANDAU, 0, v), "p_x"),
+    ("ridge_residual p_x", lambda v: ridge_residual(LANDAU, 0, v), "p_x"),
 ]
 
 
 def _index_cases():
     for label, call, name, minimum, valid in INDEX_RULES:
-        for bad in (True, float(valid), valid + 0.5, minimum - 1, np.nan, np.inf, -np.inf):
+        below = () if minimum is None else (minimum - 1,)
+        for bad in (True, float(valid), valid + 0.5, *below, np.nan, np.inf, -np.inf):
             yield pytest.param(call, name, bad, id=f"{label}-{bad!r}")
 
 
@@ -127,8 +139,16 @@ def _positive_cases():
             yield pytest.param(call, name, bad, id=f"{label}-{bad!r}")
 
 
+def _finite_cases():
+    for label, call, name in FINITE_RULES:
+        for bad in (np.nan, np.inf, -np.inf):
+            yield pytest.param(call, name, bad, id=f"{label}-{bad!r}")
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call, name, bad", [*_index_cases(), *_positive_cases()])
+@pytest.mark.parametrize(
+    "call, name, bad", [*_index_cases(), *_positive_cases(), *_finite_cases()]
+)
 def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
     with pytest.raises(ValueError, match=re.escape(name)):
         call(bad)
@@ -142,6 +162,9 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: MomentumGrid(1e300, np.int64(5)),
         lambda: expand(WELL, Eigenfunction(WELL, 1), PHASE, np.int64(0)),
         lambda: allowed_momenta(WELL, PHASE, (-2, 3)),
+        lambda: allowed_momenta(WELL, PHASE, (np.int64(-3), np.int64(-3))),
+        lambda: basis_state(WELL, PHASE, np.int64(-7)),
+        lambda: ridge_residual(LANDAU, 0, -0.0),
         lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
         lambda: level_energy(LANDAU, np.int32(0)),
         lambda: WellSpec(half_width=5e-324),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boxmode import QuadratureSettings, ResolutionError
-from boxmode.quadrature import NODE_BUDGET, bandwidth_order
+from boxmode.quadrature import NODE_BUDGET, _legendre_rule, bandwidth_order
 
 
 @pytest.mark.parametrize("radians", [300.0, 448.0, 1000.0, 2000.0, 3000.0])
@@ -39,3 +39,15 @@ def test_mapped_nodes_are_exactly_antisymmetric(order):
         x, _ = QuadratureSettings(order).nodes(-a, a)
         assert np.array_equal(x[::-1], -x)
         assert x[order // 2 :].min() >= 0.0
+
+
+def test_shipped_256_rule_is_bitwise_leggauss():
+    """The 256-node rule ships as its non-negative half, mirrored on load. It
+    must be the bits a live leggauss(256) gives, and leggauss must be exactly
+    mirrored for the half to hold them; this is the guard for a platform
+    whose eigensolver rounds differently."""
+    x, w = _legendre_rule(256)
+    live_x, live_w = np.polynomial.legendre.leggauss(256)
+    assert x.tobytes() == live_x.tobytes()
+    assert w.tobytes() == live_w.tobytes()
+    assert np.array_equal(live_x[::-1], -live_x) and np.array_equal(live_w[::-1], live_w)

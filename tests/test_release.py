@@ -32,6 +32,13 @@ def test_zero_time_reproduces_initial_state(spec):
     assert np.all(snapshot.density[outside] == 0.0)
 
 
+def test_snapshot_density_is_computed_once(spec):
+    snapshot = evolve_free(spec, 2, 0.05)
+    assert snapshot.density is snapshot.density
+    assert snapshot.density.tobytes() == (np.abs(snapshot.psi) ** 2).tobytes()
+    assert snapshot.edge_density == max(snapshot.density[0], snapshot.density[-1])
+
+
 @pytest.mark.parametrize("box", [(16.0, 2000), (16.0, 2), (1.5, 1024)])
 def test_bad_boxes_rejected(spec, box):
     with pytest.raises(ValueError):

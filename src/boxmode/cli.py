@@ -50,7 +50,7 @@ from .momentum_discrete import (
     matched_phase,
 )
 from .quadrature import _index, _positive
-from .release import evolve_free, farfield_map, grid_kinetic_energy
+from .release import EDGE_DENSITY_LIMIT, evolve_free, farfield_map, grid_kinetic_energy
 from .report import CheckResult, all_passed, check, write_csv
 from .well import Eigenfunction, WellSpec
 
@@ -295,7 +295,7 @@ def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     checks = [
         check("norm-conservation", snapshot.norm() - 1.0, 1e-9),
         check("energy-conservation", energy_drift, 1e-9),
-        check("edge-density", snapshot.edge_density, 1e-10 / spec.half_width),
+        check("edge-density", snapshot.edge_density, EDGE_DENSITY_LIMIT / spec.half_width),
     ]
     rows = np.column_stack((snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
     return checks, {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)}

@@ -406,7 +406,7 @@ def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None
     axis over +-extent times ``columns`` (default: itself) passes the budget,
     as it does for infinite ``waves``."""
     refine = 1
-    while waves**3 > 1000 * refine**4 and refine <= PROBE_BUDGET:
+    while waves * waves * waves > 1000 * refine**4 and refine <= PROBE_BUDGET:
         refine *= 2
     step = spec.magnetic_length / (8.0 * refine)
     rows = 2 * int(np.ceil(extent / step)) + 1
@@ -422,7 +422,8 @@ def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
     n = _index(n, "level")
     y_guide = spec.guiding_line(p_x)
     half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
-    waves = max(2 * n + 1, 2.0 * (p_x * spec.magnetic_length / spec.hbar) ** 2 + 1.0)
+    along = p_x * spec.magnetic_length / spec.hbar
+    waves = max(2 * n + 1, 2.0 * along * along + 1.0)
     step = _probe_step(spec, waves, half, columns=33)
     grid = (np.linspace(0.0, 32.0 * step, 33), y_guide + _centered_axis(half, step))
     state = landau_gauge_state(spec, n, p_x, grid=grid)

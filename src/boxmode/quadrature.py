@@ -100,10 +100,11 @@ def bandwidth_order(radians: float) -> int:
     margin 4 + 4.5 radians**(1/3) holds the rule's error on the integral of
     exp(i radians x) over [-1, 1] to ~1e-13 from 100 to 3000 radians. The
     order never drops below the default and raises ``ResolutionError`` past
-    ``NODE_BUDGET``.
+    ``NODE_BUDGET``, an infinite span (a finite input whose span overflowed)
+    included.
     """
     margin = 4.0 + 4.5 * np.cbrt(radians)
-    order = max(QuadratureSettings().order, int(np.ceil(radians / 2.0 + margin)))
-    if order > NODE_BUDGET:
-        raise ResolutionError(f"{radians:.6g} radians need {order} nodes; budget {NODE_BUDGET}")
-    return order
+    order = np.ceil(radians / 2.0 + margin)
+    if not order <= NODE_BUDGET:
+        raise ResolutionError(f"{radians:.6g} radians need {order:.6g} nodes; budget {NODE_BUDGET}")
+    return max(QuadratureSettings().order, int(order))

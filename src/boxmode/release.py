@@ -3,10 +3,11 @@
 Two views of the released state. ``evolve_free`` gives a full snapshot on a
 periodic grid much longer than the box, by exact multiplication with the
 free-particle phase in the discrete Fourier basis; ``suggested_box`` sizes
-that grid and an AliasingError guards its edge. ``farfield_map`` needs no
-grid: it evaluates the rescaled density at any requested momenta as a box
-transform of the state times a chirp, which converges to the continuous
-momentum density as the flight time grows.
+that grid by one length rule (the reach of the 1/p^4 far-field tail down to
+1/8 of ``EDGE_DENSITY_LIMIT``) and an AliasingError guards its edge.
+``farfield_map`` needs no grid: it evaluates the rescaled density at any
+requested momenta as a box transform of the state times a chirp, which
+converges to the continuous momentum density as the flight time grows.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ class AliasingError(ResolutionError):
     """The evolved state reached the periodic box edge; wrap-around would alias."""
 
 
-# Probability density tolerated at the box edge, per unit 1/half_width.
-_EDGE_DENSITY_LIMIT = 1e-10
+# Edge density tolerated, per unit 1/half_width. The AliasingError gate, the
+# CLI's edge-density CHECK and suggested_box's target (1/8 of it) all read it.
+EDGE_DENSITY_LIMIT = 1e-10
 
 # Largest grid evolve_free builds, the size of the far-field grid this package
 # once ran: its ~96 bytes of full-length arrays per sample come to 1.6 GB.
@@ -77,50 +79,28 @@ class EvolutionSnapshot:
         return float(np.sum(self.density) * self.dx)
 
 
-def _tail_momenta(spec: WellSpec, n: int, t: float):
-    """Momentum scales controlling how far the released state spreads.
-
-    Returns (p_quantile, p_edge): the momentum beyond which roughly 1e-4 of
-    the state's weight lies, and the momentum whose envelope tail density,
-    transported to the box edge at time t, drops to ~1e-11/half_width. The
-    envelope used is the exact large-|p| form 2 k_n^2 hbar^3/(pi a p^4).
-    """
-    a, m, hbar = spec.half_width, spec.mass, spec.hbar
-    k_n = spec.wavenumber(n)
-    p_quantile = (2.0e4 * k_n**2 * hbar**3 / (3.0 * np.pi * a)) ** (1.0 / 3.0)
-    if t > 0:
-        edge_eps = 1.25e-11 / a
-        p_edge = (2.0 * m * k_n**2 * hbar**2 / (np.pi * a * t * edge_eps)) ** 0.25
-    else:
-        p_edge = 0.0
-    return p_quantile, p_edge
-
-
-def _pow2_at_least(value: float) -> int:
-    return 1 << max(0, int(np.ceil(np.log2(value))))
-
-
 def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
-    """A (length, samples) pair keeping edge leakage negligible at time t.
-
-    The grid step is half_width/128 with the walls landing exactly on grid
-    nodes; the length covers both the bulk spread and the slow power-law
-    tails, with a floor of 16 half-widths. Samples are a power of two.
-    Raises ResolutionError when they would pass ``SAMPLE_BUDGET``, and
-    ValueError for a non-finite t.
+    """A (length, samples) pair holding state n's edge density at time t to
+    eps = EDGE_DENSITY_LIMIT / (8a), 1/8 of the AliasingError gate, by one
+    rule: L = max(2a + 2 reach, 16a) in steps of a/128 (walls on nodes),
+    rounded up to a power-of-two count. The reach
+    (2 k^2 hbar^3 t^3 / (pi a m^3 eps))^(1/4) is where the far-field tail
+    density (m/t) 2 k^2 hbar^3 / (pi a p^4), at p = m x / t, falls to eps.
+    A bulk term (six times the momentum beyond which 1e-4 of the weight lies,
+    times t/m) never binds: it stays below 0.419 of 2 reach on every grid
+    within ``SAMPLE_BUDGET``, in any units. Raises ResolutionError past that
+    budget and ValueError for a non-finite t.
     """
     _finite(t, "t")
-    a, m = spec.half_width, spec.mass
-    t = abs(float(t))
+    a, m, hbar, k = spec.half_width, spec.mass, spec.hbar, spec.wavenumber(n)
+    eps = EDGE_DENSITY_LIMIT / (8.0 * a)
+    # Products, not powers: a Python float overflows to inf instead of raising.
+    spread = hbar * abs(float(t)) / m
+    reach = (2.0 * k * k * spread * spread * spread / (np.pi * a * eps)) ** 0.25
     dx = a / 128.0
-    p_quantile, p_edge = _tail_momenta(spec, n, t)
-    length = max(
-        2.0 * a + 6.0 * (p_quantile / m) * t,
-        2.0 * a + 2.0 * (p_edge / m) * t,
-        16.0 * a,
-    )
+    length = max(2.0 * a + 2.0 * reach, 16.0 * a)
     _check_budget(length / dx)
-    samples = _pow2_at_least(length / dx)
+    samples = 1 << int(np.ceil(np.log2(length / dx)))
     return samples * dx, samples
 
 
@@ -133,9 +113,9 @@ def evolve_free(
     When omitted, ``suggested_box`` picks one. At t = 0 the samples
     reproduce the stationary state exactly. A grid past ``SAMPLE_BUDGET``
     samples raises ResolutionError before anything is allocated. If
-    noticeable probability reaches the periodic edge (density above 1e-10
-    per half_width), the result would wrap around and alias, so an
-    AliasingError is raised. A non-finite t raises ValueError.
+    noticeable probability reaches the periodic edge (density above
+    ``EDGE_DENSITY_LIMIT`` / half_width), the result would wrap around and
+    alias, so an AliasingError is raised. A non-finite t raises ValueError.
     """
     psi = Eigenfunction(spec, n)
     _finite(t, "t")
@@ -163,10 +143,10 @@ def evolve_free(
         psi_t = np.fft.ifft(np.fft.fft(psi0) * phase)
 
     snapshot = EvolutionSnapshot(t=float(t), x=x, psi=psi_t)
-    if snapshot.edge_density > _EDGE_DENSITY_LIMIT / spec.half_width:
+    limit = EDGE_DENSITY_LIMIT / spec.half_width
+    if snapshot.edge_density > limit:
         raise AliasingError(
-            f"edge density {snapshot.edge_density:.3e} exceeds "
-            f"{_EDGE_DENSITY_LIMIT / spec.half_width:.1e}; "
+            f"edge density {snapshot.edge_density:.3e} exceeds {limit:.1e}; "
             "enlarge the box or shorten the flight time"
         )
     return snapshot

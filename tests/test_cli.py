@@ -174,6 +174,9 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("landau", "degeneracy", "--edge-x", "inf"),
         ("landau", "state", "--edge-x", "inf"),
         ("momentum", "compare", "--window", "inf"),
+        # Finite flags whose phase span overflows to inf meet the node budget.
+        ("release", "farfield", "--t", "1e-320"),
+        ("momentum", "compare", "--window", "1.7e308"),
         ("landau", "hall", "--voltage", "nan"),
         ("landau", "hall", "--voltage", "inf"),
         # The grid edge aliases: an AliasingError, one of the ResolutionErrors.
@@ -253,15 +256,18 @@ def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monke
     assert ring_residual(spec, 3, 8, state) == ring_residual(spec, 3, 8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_past_budget_raises():
     spec = LandauSpec()
     for probe in (
         lambda: ring_residual(spec, 60, 30),
         lambda: ring_residual(spec, 0, 400),
         lambda: ridge_residual(spec, 5000, 0.5),
-        # Refining for a huge momentum stops at the budget; a non-finite one
-        # is rejected by name first (tests/test_edge_inputs.py).
+        # Refining for a huge momentum stops at the budget, also where its
+        # wave count overflows a float; a non-finite one is rejected by name
+        # first (tests/test_edge_inputs.py).
         lambda: ridge_residual(spec, 0, 1e6),
+        lambda: ridge_residual(spec, 0, 1e200),
     ):
         with pytest.raises(ResolutionError, match=f"exceeds {PROBE_BUDGET} points"):
             probe()

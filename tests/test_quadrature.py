@@ -27,6 +27,9 @@ def test_bandwidth_order_budget():
     assert bandwidth_order(3300.0) <= NODE_BUDGET
     with pytest.raises(ResolutionError, match=f"budget {NODE_BUDGET}"):
         bandwidth_order(4000.0)
+    # An infinite span, which a finite input can overflow to, meets the budget too.
+    with pytest.raises(ResolutionError, match=f"inf nodes; budget {NODE_BUDGET}"):
+        bandwidth_order(np.inf)
     # The shared error is a ValueError, which the CLI reports with exit code 2.
     assert issubclass(ResolutionError, ValueError)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from boxmode import (
@@ -101,6 +101,31 @@ def test_density_stays_even_under_evolution(spec):
     np.testing.assert_allclose(snapshot.density[1:], mirrored, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    ("n", "t", "box"),
+    [
+        (1, 0.0, (16.0, 2048)),
+        (1, 1e-3, (16.0, 2048)),
+        (2, 0.05, (256.0, 32768)),
+        (1, 1.0, (2048.0, 262144)),
+        (2, 1.0, (2048.0, 262144)),
+        (3, 5.0, (8192.0, 1048576)),
+        (1, 50.0, (32768.0, 4194304)),
+        (1, 200.0, (65536.0, 8388608)),
+    ],
+)
+def test_suggested_box_pinned_in_natural_units(n, t, box):
+    # Recorded before the bulk-quantile term was dropped: it never set a length.
+    assert suggested_box(WellSpec(), n, t) == box
+
+
+# At 1e300 the reach overflows to inf and meets the same budget.
+@pytest.mark.parametrize("t", [1e4, 1e300])
+def test_suggested_box_past_budget_raises(spec, t):
+    with pytest.raises(ResolutionError, match="budget 16777216"):
+        suggested_box(spec, 1, t)
+
+
 def test_suggested_box_alignment(spec):
     for t in (0.0, 10.0, 50.0):
         length, samples = suggested_box(spec, 1, t)
@@ -154,11 +179,23 @@ def test_farfield_matches_evolved_snapshot(spec):
     assert np.abs(farfield_map(spec, 1, t, p) - rescaled).max() < 1e-5
 
 
-@given(t=st.floats(min_value=0.05, max_value=5.0))
-@settings(max_examples=6, deadline=None)
-def test_default_box_never_aliases(t):
-    spec = WellSpec()
-    snapshot = evolve_free(spec, 2, t)
+@given(
+    hbar=st.floats(min_value=0.1, max_value=100.0),
+    n=st.sampled_from([1, 2, 3]),
+    t=st.floats(min_value=0.05, max_value=5.0),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_default_box_never_aliases(hbar, n, t):
+    """The suggested box holds the edge under the gate in any units, which
+    needs its tail reach to scale as hbar^3: hbar^2 undersizes hbar > 1."""
+    spec = WellSpec(hbar=hbar)
+    try:
+        _, samples = suggested_box(spec, n, t)
+    except ResolutionError:
+        reject()
+    # Keep each draw to ~200 MB; larger boxes follow the same rule.
+    assume(samples <= 2**21)
+    snapshot = evolve_free(spec, n, t)
     assert snapshot.norm() == pytest.approx(1.0, abs=1e-9)
     limit = 1e-10 / spec.half_width
     assert snapshot.density[0] <= limit

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
+from .quadrature import QuadratureSettings, _finite, _index, _positive, bandwidth_order
 from .well import Eigenfunction, WellSpec
 
 
@@ -122,9 +122,7 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     """
     a = spec.half_width
     p_arr = np.asarray(p, dtype=float)
-    finite = np.isfinite(p_arr)
-    if not finite.all():
-        raise ValueError(f"momentum p must be finite, got {p_arr[~finite].flat[0]}")
+    _finite(p_arr, "momentum p")
     p_max = float(np.max(np.abs(p_arr), initial=0.0))
     radians = a * p_max / spec.hbar + f_radians
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
@@ -148,11 +146,13 @@ def analytic_density(spec: WellSpec, n: int, p):
     collapses the quotient to ``(a sinc(ua/pi))^2 / (2 k_n + u)^2``. That
     form is evaluated everywhere: it is free of the cancellation in
     (k_n^2 - q^2)^2 near the spikes, where the density takes its exact
-    limit a / (2 pi hbar).
+    limit a / (2 pi hbar). A non-finite p raises ``ValueError``.
     """
     a = spec.half_width
     k_n = spec.wavenumber(n)
-    u = np.abs(np.asarray(p, dtype=float) / spec.hbar) - k_n
+    p = np.asarray(p, dtype=float)
+    _finite(p, "momentum p")
+    u = np.abs(p / spec.hbar) - k_n
     lobe = a * np.sinc(u * a / np.pi)
     density = 4.0 * k_n**2 / (2.0 * np.pi * spec.hbar * a) * (lobe / (2.0 * k_n + u)) ** 2
     return float(density) if density.ndim == 0 else density

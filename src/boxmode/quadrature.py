@@ -39,9 +39,11 @@ def _positive(value, name: str):
 
 
 def _finite(value, name: str):
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    """Raise ``ValueError`` naming ``name`` and the first bad element unless
+    every element of ``value`` (a scalar or an array) is finite."""
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value)[bad].flat[0]}")
 
 
 @lru_cache(maxsize=64)

@@ -55,37 +55,36 @@ def format_value(value, digits: int = 12) -> str:
 
 
 @functools.cache
-def _powers_of_ten():
-    """10**k for k in [_SCALE_MIN, _SCALE_MAX] as a double-double hi + lo.
-
-    Returns (hi, hi_head, hi_tail, lo): hi is 10**k correctly rounded, lo
-    is 10**k - hi correctly rounded, and hi_head + hi_tail = hi is Dekker's
-    split of hi. Built from exact integers on first use.
-    """
-    hi, lo = [], []
-    for k in range(_SCALE_MIN, _SCALE_MAX + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        head = num / den
-        p, q = head.as_integer_ratio()
-        hi.append(head)
-        lo.append((num * q - p * den) / (den * q))
-    hi, lo = np.array(hi), np.array(lo)
-    scaled = _SPLIT * hi
-    hi_head = scaled - (scaled - hi)
-    return hi, hi_head, hi - hi_head, lo
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as a double-double (hi, lo): hi is 10**k correctly rounded and
+    lo is 10**k - hi correctly rounded, both from exact integers."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
 
 
-def _times_power_of_ten(a: np.ndarray, k: np.ndarray):
-    """a * 10**k as an unevaluated sum p + e, to about 2**-104 relative.
+def _scales(index: np.ndarray) -> np.ndarray:
+    """Rows (hi, lo) of ``_power_of_ten(k)`` at index k - _SCALE_MIN, for the
+    k in ``index``; other rows hold zeros. A chunk meets a few dozen k."""
+    used = np.zeros(_SCALE_MAX - _SCALE_MIN + 1, bool)
+    used[index] = True
+    table = np.zeros((used.size, 2))
+    table[used] = [_power_of_ten(k) for k in (np.flatnonzero(used) + _SCALE_MIN).tolist()]
+    return table
+
+
+def _times_power_of_ten(a: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """a * (hi + lo) as an unevaluated sum p + e, to about 2**-104 relative.
 
     a * hi = p + (its rounding error) exactly, by Dekker's two-product;
     a * lo adds the rest of 10**k.
     """
-    hi, hi_head, hi_tail, lo = (np.take(table, k - _SCALE_MIN) for table in _powers_of_ten())
     p = a * hi
-    a_head = _SPLIT * a
+    a_head, hi_head = _SPLIT * a, _SPLIT * hi
     a_head -= a_head - a
-    a_tail = a - a_head
+    hi_head -= hi_head - hi
+    a_tail, hi_tail = a - a_head, hi - hi_head
     e = a_head * hi_head - p + a_head * hi_tail + a_tail * hi_head + a_tail * hi_tail + a * lo
     return p, e
 
@@ -99,17 +98,33 @@ def _rounded_decimals(a: np.ndarray, digits: int):
     Elsewhere they are meaningless: a outside [1e-280, 1e280] (zeros and
     non-finite values included), a within ``_TIE_MARGIN`` of a tie, or a
     wrong estimate of the exponent. ``a`` is overwritten.
+
+    One product p = a * hi lies within 10**(digits + 1) * 2**-52 of the
+    exact a * 10**k, so it rounds every cell whose fraction lies farther
+    than twice that from 1/2. The rest, every cell from 15 digits up, are
+    scaled again as a double-double (``_times_power_of_ten``).
     """
     proven = (a >= 1e-280) & (a <= 1e280)
     a[~proven] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.int64)
-    p, e = _times_power_of_ten(a, digits - exponent)
+    index = (digits - _SCALE_MIN) - exponent
+    table = _scales(index)
+    p = a * np.take(table[:, 0], index)
     whole = np.floor(p)
-    fraction = p - whole + e
-    carry_in = np.floor(fraction)
-    fraction -= carry_in
-    mantissa = whole.astype(np.int64) + carry_in.astype(np.int64)
-    proven &= np.abs(fraction - 0.5) > _TIE_MARGIN
+    fraction = p - whole
+    mantissa = whole.astype(np.int64)
+    unsure = np.flatnonzero(np.abs(fraction - 0.5) <= 10.0 ** (digits + 1) * 2.0**-51)
+    if unsure.size:
+        hi, lo = (np.take(column, index[unsure]) for column in table.T)
+        p, e = _times_power_of_ten(a[unsure], hi, lo)
+        whole = np.floor(p)
+        near = p - whole + e
+        carry_in = np.floor(near)
+        near -= carry_in
+        # In int64: above 2**53 a float sum would round the carry away.
+        mantissa[unsure] = whole.astype(np.int64) + carry_in.astype(np.int64)
+        fraction[unsure] = near
+        proven[unsure] &= np.abs(near - 0.5) > _TIE_MARGIN
     proven &= (mantissa >= 10**digits) & (mantissa < 10 ** (digits + 1))
     mantissa += fraction > 0.5
     carry = mantissa == 10 ** (digits + 1)
@@ -118,54 +133,62 @@ def _rounded_decimals(a: np.ndarray, digits: int):
     return mantissa, exponent, proven
 
 
-def _put_decimal(cells: np.ndarray, number: np.ndarray, columns):
-    """Write the low ``len(columns)`` decimal digits of ``number`` into ``columns`` as ASCII."""
-    for column in reversed(columns):
-        quotient = number // 10
-        cells[:, column] = number - quotient * 10 + ord("0")
-        number = quotient
+@functools.cache
+def _text_words():
+    """(digit_words, exponent_words): ``digit_words[g]`` is the four digits of
+    0 <= g < 10**4 as one uint32; ``exponent_words[e + 300]`` is exponent e
+    as one uint64: 'e', sign, hundreds digit or blank, two digits, two
+    blanks and ','."""
+    pairs = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(), np.uint16)
+    digit_words = np.empty((100, 100, 2), np.uint16)
+    digit_words[:, :, 0] = pairs[:, None]
+    digit_words[:, :, 1] = pairs
+    exponents = "e-%3.2d  ," * 300 % tuple(range(300, 0, -1))
+    exponents += "e+%3.2d  ," * 301 % tuple(range(301))
+    return digit_words.view(np.uint32).ravel(), np.frombuffer(exponents.encode(), np.uint64)
 
 
 def _float_text(chunk: np.ndarray, digits: int) -> bytes:
     """The CSV bytes of ``chunk``, each cell exactly as ``'%.{digits}e'`` prints it.
 
-    Each cell fills a slot of ``digits + 9`` bytes: sign, leading digit,
-    '.', ``digits`` digits, 'e', exponent sign, three exponent digits and
-    the separator. Slot bytes a cell does not use hold spaces, which are
-    deleted at the end. The cells ``_rounded_decimals`` cannot prove, and
-    every cell when ``digits`` lies outside 1..17, go through ``%`` itself,
-    left-justified in their slots.
+    Each cell fills a slot of whole 8-byte words: blanks, sign, leading
+    digit, '.' and ``digits`` digits, right-aligned, then one exponent word
+    that ends in the separator. The fraction goes in as 4-digit uint32
+    words, right to left; sign, lead and '.' then overwrite the spare bytes
+    of the leftmost one. Blanks are deleted at the end. The cells
+    ``_rounded_decimals`` cannot prove, and every cell when ``digits`` lies
+    outside 1..17, go through ``%`` itself, left-justified in their slots.
     """
     with np.errstate(invalid="ignore"):  # a signaling nan stays a nan
         values = chunk.astype(np.float64).ravel()
-    width = digits + 9
+    width = 8 * -(-(digits + 11) // 8)
     cells = np.empty((values.size, width), np.uint8)
     if 1 <= digits <= 17:
         mantissa, exponent, proven = _rounded_decimals(np.abs(values), digits)
-        cells[:, 0] = np.where(values < 0, np.uint8(ord("-")), np.uint8(ord(" ")))
-        columns = [1, *range(3, digits + 3)]
-        # Digits come out of uint32 halves of at most 9 digits each: numpy
-        # divides uint32 several times faster than int64.
-        if len(columns) > 9:
-            high = mantissa // 10**9
-            _put_decimal(cells, high.astype(np.uint32), columns[:-9])
-            mantissa -= high * 10**9
-        _put_decimal(cells, mantissa.astype(np.uint32), columns[-9:])
-        cells[:, 2] = ord(".")
-        cells[:, digits + 3] = ord("e")
-        cells[:, digits + 4] = np.where(exponent < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-        magnitude = np.abs(exponent).astype(np.uint32)
-        _put_decimal(cells, magnitude, (digits + 5, digits + 6, digits + 7))
-        cells[magnitude < 100, digits + 5] = ord(" ")
+        digit_words, exponent_words = _text_words()
+        words = cells.view(np.uint32)
+        columns = range(words.shape[1] - 3, words.shape[1] - 3 - -(-digits // 4), -1)
+        lead = mantissa // 10**digits
+        number = mantissa - lead * 10**digits
+        for column in columns[:-1]:
+            quotient = number // 10**4
+            words[:, column] = np.take(digit_words, number - quotient * 10**4)
+            number = quotient
+        words[:, columns[-1]] = np.take(digit_words, number)
+        words[:, : columns[-1]] = 0x20202020  # four blanks
+        point = width - 9 - digits
+        negative = (values < 0).view(np.uint8)
+        cells[:, point - 2] = negative * np.uint8(ord("-") - ord(" ")) + np.uint8(ord(" "))
+        cells[:, point - 1] = lead + ord("0")
+        cells[:, point] = ord(".")
+        cells.view(np.uint64)[:, -1] = np.take(exponent_words, exponent + 300)
     else:
         proven = np.zeros(values.size, bool)
-    separators = np.full(chunk.shape[1], ord(","), np.uint8)
-    separators[-1] = ord("\n")
-    cells.reshape(*chunk.shape, width)[:, :, -1] = separators
     unproven = np.flatnonzero(~proven)
     if unproven.size:
-        text = f"%-{width - 1}.{digits}e" * unproven.size % tuple(values[unproven].tolist())
-        cells[unproven, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width - 1)
+        text = f"%-{width - 1}.{digits}e," * unproven.size % tuple(values[unproven].tolist())
+        cells[unproven] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
+    cells.reshape(*chunk.shape, width)[:, -1, -1] = ord("\n")
     return cells.tobytes().translate(None, b" ")
 
 
@@ -196,10 +219,12 @@ def write_csv(path, header, rows, digits: int = 12) -> Path:
       The array is rendered at most ``CSV_CHUNK_ROWS`` rows at a time
       and each chunk is written as it is made, so the text in memory stays bounded
       however long the table is. Float chunks are rounded and laid out in
-      numpy, byte for byte as ``%`` prints them; the cells that cannot be
-      proven so (zeros, non-finite values, magnitudes outside
-      [1e-280, 1e280], near-ties) go through ``%`` itself. Integer chunks
-      go through one ``%d`` line template;
+      numpy, byte for byte as ``%`` prints them: one product by a power of
+      ten rounds most cells, a double-double the rest, and the digits go
+      in four to a word. The cells that cannot be proven so (zeros,
+      non-finite values, magnitudes outside [1e-280, 1e280], near-ties) go
+      through ``%`` itself. Integer chunks go through one ``%d`` line
+      template;
     * a sequence of row tuples, each cell through ``format_value``. This is
       the form for mixed rows (strings, or ints beside floats) and the
       reference the array form is tested against.

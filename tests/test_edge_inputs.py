@@ -121,6 +121,12 @@ POSITIVE_RULES = [
 ]
 
 FINITE_RULES = [
+    ("analytic_density p", lambda v: analytic_density(WELL, 1, v), "momentum p"),
+    (
+        "analytic_density p array",
+        lambda v: analytic_density(WELL, 1, np.array([0.0, v])),
+        "momentum p",
+    ),
     ("landau_gauge_state p_x", lambda v: landau_gauge_state(LANDAU, 0, v), "p_x"),
     ("ridge_residual p_x", lambda v: ridge_residual(LANDAU, 0, v), "p_x"),
 ]

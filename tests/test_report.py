@@ -1,4 +1,5 @@
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -227,9 +228,14 @@ def _edge_cells() -> np.ndarray:
     return np.concatenate([finite, -finite, special, random_bits.view(np.float64)])
 
 
-def _array_cells(directory, cells: np.ndarray, digits: int) -> list[str]:
-    path = write_csv(directory / "cells.csv", ["v"], cells.reshape(-1, 1), digits)
+def _array_lines(directory, rows: np.ndarray, digits: int) -> list[str]:
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    path = write_csv(directory / "cells.csv", header, rows, digits)
     return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def _percent_lines(rows: np.ndarray, digits: int) -> list[str]:
+    return [",".join(f"%.{digits}e" % float(v) for v in row) for row in rows.tolist()]
 
 
 def test_binary_ties_reach_every_digit_count():
@@ -240,9 +246,11 @@ def test_binary_ties_reach_every_digit_count():
 
 @pytest.mark.parametrize("digits", [0, *range(1, 18), 18, 20])
 def test_array_cells_match_percent_format(tmp_path, digits):
+    # Widths 2 and 3 end some copies of each cell in ',' and others in a row end.
     cells = _edge_cells()
-    expected = [f"%.{digits}e" % float(v) for v in cells]
-    assert _array_cells(tmp_path, cells, digits) == expected
+    for width in (1, 2, 3):
+        rows = np.resize(cells, (-(-cells.size // width), width))
+        assert _array_lines(tmp_path, rows, digits) == _percent_lines(rows, digits)
 
 
 @pytest.mark.parametrize("digits", [1, 7, 12, 17])
@@ -252,6 +260,12 @@ def test_float32_array_cells_match_percent_format(tmp_path, digits):
     cells = np.concatenate([
         [float32.smallest_subnormal, float32.smallest_normal, float32.max, -float32.max],
         rng.integers(0, 2**32, 2000, dtype=np.uint32).view(np.float32),
-    ]).astype(np.float32)
-    expected = [f"%.{digits}e" % float(v) for v in cells]
-    assert _array_cells(tmp_path, cells, digits) == expected
+    ]).astype(np.float32).reshape(-1, 1)
+    assert _array_lines(tmp_path, cells, digits) == _percent_lines(cells, digits)
+
+
+def test_powers_of_ten_are_exact():
+    for k in range(report._SCALE_MIN, report._SCALE_MAX + 1):
+        hi, lo = report._power_of_ten(k)
+        exact = Fraction(10) ** k
+        assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), k

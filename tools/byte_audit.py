@@ -1,0 +1,155 @@
+"""Byte audit: run the same CLI ops in two checkouts and compare every output.
+
+    python3 tools/byte_audit.py PARENT CHANGE
+
+PARENT and CHANGE are checkout directories, each holding ``src/boxmode``.
+Each checkout runs every op in one subprocess of its own, through
+``boxmode.cli.run``, with each op writing into a fresh directory. The audit
+then compares, op by op, the exit code, stdout, stderr and the SHA-256 of
+every CSV written. The checkout's own path is replaced by ``<checkout>`` in
+stdout and stderr, so tracebacks and warnings compare by file and line. It
+prints one line per difference and a summary, and exits 1 on any difference.
+
+The ops:
+
+* every op of ``perfbench/plan.every_variant()`` (this checkout's plan);
+* ``--digits`` 1, 5 and 17 runs of ``release evolve``, ``landau state`` and
+  ``momentum continuous``;
+* four custom-units runs at 9 digits (``release evolve``, ``momentum
+  continuous``, ``landau state``, ``well eigenfunction``), with half width
+  2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
+  hbar 1.3 for the Landau system.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CUSTOM_CONFIG = """\
+units = custom
+digits = 9
+
+[well]
+half_width = 2.5
+mass = 3.0
+hbar = 0.7
+
+[landau]
+charge = 2.0
+mass = 0.5
+hbar = 1.3
+"""
+
+DIGIT_OPS = (
+    ("release", "evolve", "--n", "1", "--t", "1"),
+    ("landau", "state"),
+    ("momentum", "continuous"),
+)
+
+CUSTOM_OPS = (
+    ("release", "evolve", "--n", "1", "--t", "1"),
+    ("momentum", "continuous"),
+    ("landau", "state"),
+    ("well", "eigenfunction"),
+)
+
+
+def audit_ops(config: Path) -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import plan
+
+    ops = [list(op) for op in plan.every_variant()]
+    ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
+    ops += [[*op, "--config", str(config)] for op in CUSTOM_OPS]
+    return ops
+
+
+def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:
+    """Run the ops of ``ops_file`` in ``checkout``, in this process, each in
+    its own directory under ``work``; return one record per op."""
+    sys.path.insert(0, str(checkout / "src"))
+    import boxmode.cli
+
+    records = []
+    for index, argv in enumerate(json.loads(ops_file.read_text(encoding="utf-8"))):
+        directory = work / f"op{index:03d}"
+        directory.mkdir()
+        os.chdir(directory)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = boxmode.cli.run([*argv, "--out", "out"])
+            except Exception:  # a crash is an outcome to compare, not a stop
+                traceback.print_exc()
+                code = -1
+        csvs = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((directory / "out").glob("*.csv"))
+        }
+        records.append({
+            "argv": argv,
+            "code": code,
+            "stdout": stdout.getvalue().replace(str(checkout), "<checkout>"),
+            "stderr": stderr.getvalue().replace(str(checkout), "<checkout>"),
+            "csv": csvs,
+        })
+    return records
+
+
+def differences(parent: list[dict], change: list[dict]) -> list[str]:
+    found = []
+    for old, new in zip(parent, change):
+        op = " ".join(old["argv"])
+        for key in ("code", "stdout", "stderr"):
+            if old[key] != new[key]:
+                found.append(f"{op}: {key} differs: {old[key]!r} != {new[key]!r}")
+        for name in sorted(old["csv"].keys() | new["csv"].keys()):
+            if old["csv"].get(name) != new["csv"].get(name):
+                found.append(f"{op}: {name} differs")
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--run":
+        checkout, ops_file, work = (Path(a).resolve() for a in argv[1:])
+        records = run_checkout(checkout, ops_file, work)
+        (work / "records.json").write_text(json.dumps(records), encoding="utf-8")
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    checkouts = [Path(a).resolve() for a in argv]
+    with tempfile.TemporaryDirectory(prefix="byte_audit_") as scratch:
+        scratch = Path(scratch)
+        config = scratch / "custom.cfg"
+        config.write_text(CUSTOM_CONFIG, encoding="utf-8")
+        ops_file = scratch / "ops.json"
+        ops_file.write_text(json.dumps(audit_ops(config)), encoding="utf-8")
+        runs = []
+        for side, checkout in zip(("parent", "change"), checkouts):
+            work = scratch / side
+            work.mkdir()
+            command = [sys.executable, str(Path(__file__).resolve()), "--run", str(checkout)]
+            subprocess.run([*command, str(ops_file), str(work)], check=True)
+            runs.append(json.loads((work / "records.json").read_text(encoding="utf-8")))
+    found = differences(*runs)
+    for line in found:
+        print(line)
+    csvs = sum(len(record["csv"]) for record in runs[1])
+    print(f"{len(runs[1])} ops, {csvs} CSVs: {len(found)} differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -60,30 +60,34 @@ def amplitude_transform(spec: WellSpec, n: int, p):
     return _box_transform(spec, psi, p, psi.wavenumber * spec.half_width)
 
 
-# Rows of a box-transform kernel built at once: a block holds 0.5 MiB of complex
-# entries at the default 256 nodes, which stays in a 2 MiB L2 cache between the
-# cos/sin fill and the matrix-vector product, and 4 MiB at the 2048-node budget,
-# however many momenta are asked for.
+# Rows of a box-transform kernel built at once, rounded down to whole product
+# steps (120 at 256 nodes): a block holds 0.5 MiB of complex entries at the
+# default 256 nodes, which stays in a 2 MiB L2 cache between the cos/sin fill and
+# the products, and 4 MiB at the 2048-node budget, however many momenta are asked.
 KERNEL_ROWS = 128
 
 
-def _in_row_blocks(rows: np.ndarray, block) -> np.ndarray:
-    """``block(rows[i:j])`` for consecutive slices of at most KERNEL_ROWS rows,
-    gathered into one complex array.
+def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray:
+    """``kernel(rows) @ weighted``, the kernel built about KERNEL_ROWS rows at a
+    time and each block multiplied as a stack of ``step``-row gemv products.
 
-    A one-row slice would take numpy's single-row matmul path, which rounds
-    differently from the multi-row one, so a one-row tail joins the slice
-    before it; each row's value is then bitwise independent of the blocking.
+    From 4,096 complex entries (16 rows at 256 nodes, 11 at 374) OpenBLAS runs
+    a product on its thread pool, whose idle thread then spins; ``step =
+    max(2, 4095 // nodes)`` rows stay below that. ``rows`` is padded to whole steps with its
+    last momentum. A gemv row does not depend on its neighbours, so each value
+    is bitwise independent of the blocking; fewer than two rows keep numpy's
+    direct product, whose single-row path rounds differently from gemv.
     """
-    out = np.empty(rows.size, dtype=complex)
-    start = 0
-    while start < rows.size:
-        stop = start + KERNEL_ROWS
-        if stop + 1 >= rows.size:
-            stop = rows.size
-        out[start:stop] = block(rows[start:stop])
-        start = stop
-    return out
+    if rows.size < 2:
+        return kernel(rows) @ weighted
+    step = max(2, 4095 // weighted.size)
+    span = step * (KERNEL_ROWS // step)
+    padded = np.concatenate([rows, np.full(-rows.size % step, rows[-1])])
+    out = np.empty(padded.size, dtype=complex)
+    for start in range(0, padded.size, span):
+        block = kernel(padded[start : start + span])
+        out[start : start + span] = (block.reshape(-1, step, weighted.size) @ weighted).ravel()
+    return out[: rows.size]
 
 
 def _plane_waves(rows: np.ndarray, x: np.ndarray, hbar: float) -> np.ndarray:
@@ -115,7 +119,8 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     most ``f_radians`` over a half width. The Gauss-Legendre order is
     ``bandwidth_order`` of that span plus the plane wave's a max|p| / hbar.
     The p x order kernel is built from cos and sin on the non-negative half
-    of the nodes (``_plane_waves``) and applied in row blocks
+    of the nodes (``_plane_waves``) and applied in row blocks, each as a
+    stack of products small enough to stay on the calling thread
     (``_in_row_blocks``), so memory stays bounded for any number of momenta.
     A scalar p gives a complex scalar, an array p an array of the same shape;
     a non-finite p raises ``ValueError``.
@@ -128,10 +133,10 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     weighted = w * f(x)
 
-    def block(rows):
-        return _plane_waves(rows, x, spec.hbar) @ weighted
+    def kernel(rows):
+        return _plane_waves(rows, x, spec.hbar)
 
-    values = _in_row_blocks(p_arr.ravel(), block) / np.sqrt(2.0 * np.pi * spec.hbar)
+    values = _in_row_blocks(p_arr.ravel(), kernel, weighted) / np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:
         return complex(values[0])
     return values.reshape(p_arr.shape)

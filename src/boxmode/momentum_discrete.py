@@ -129,7 +129,8 @@ def expand(
     oscillatory for those nodes, would silently corrupt every weight, so it
     is rejected instead. The ladder x nodes kernel is built from cos and sin
     on the non-negative half of the nodes (``_plane_waves``) and applied in
-    row blocks, so memory stays bounded for any k_max.
+    row blocks of small products by the transforms' one rule
+    (``_in_row_blocks``), so memory stays bounded for any k_max.
     """
     a = spec.half_width
     ks, momenta = allowed_momenta(spec, phase, _index(k_max, "k_max"))
@@ -140,14 +141,12 @@ def expand(
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm over the box is {norm:.8f}, expected 1 within 1e-6")
 
-    weighted = w * values
+    def kernel(rows):
+        block = _plane_waves(rows, x, spec.hbar)
+        block /= np.sqrt(2.0 * a)
+        return block
 
-    def block(rows):
-        kernel = _plane_waves(rows, x, spec.hbar)
-        kernel /= np.sqrt(2.0 * a)
-        return kernel @ weighted
-
-    coefficients = _in_row_blocks(momenta, block)
+    coefficients = _in_row_blocks(momenta, kernel, w * values)
     return DiscreteMomentumSpectrum(
         phase=phase,
         indices=ks,

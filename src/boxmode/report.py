@@ -54,7 +54,6 @@ def format_value(value, digits: int = 12) -> str:
     return f"{float(value):.{digits}e}"
 
 
-@functools.cache
 def _power_of_ten(k: int) -> tuple[float, float]:
     """10**k as a double-double (hi, lo): hi is 10**k correctly rounded and
     lo is 10**k - hi correctly rounded, both from exact integers."""
@@ -64,21 +63,27 @@ def _power_of_ten(k: int) -> tuple[float, float]:
     return hi, (num * q - p * den) / (den * q)
 
 
+# Rows (hi, lo) of _power_of_ten(k) at index k - _SCALE_MIN, each filled the
+# first time a chunk meets k; a row still zero is unfilled, as 10**k > 0 here.
+_SCALE_TABLE = np.zeros((_SCALE_MAX - _SCALE_MIN + 1, 2))
+
+
 def _scales(index: np.ndarray) -> np.ndarray:
-    """Rows (hi, lo) of ``_power_of_ten(k)`` at index k - _SCALE_MIN, for the
-    k in ``index``; other rows hold zeros. A chunk meets a few dozen k."""
-    used = np.zeros(_SCALE_MAX - _SCALE_MIN + 1, bool)
-    used[index] = True
-    table = np.zeros((used.size, 2))
-    table[used] = [_power_of_ten(k) for k in (np.flatnonzero(used) + _SCALE_MIN).tolist()]
-    return table
+    """``_SCALE_TABLE`` with its rows at ``index`` filled."""
+    new = np.zeros(len(_SCALE_TABLE), bool)
+    new[index] = True
+    new &= _SCALE_TABLE[:, 0] == 0.0
+    if new.any():
+        _SCALE_TABLE[new] = [_power_of_ten(k) for k in (np.flatnonzero(new) + _SCALE_MIN).tolist()]
+    return _SCALE_TABLE
 
 
-def _times_power_of_ten(a: np.ndarray, hi: np.ndarray, lo: np.ndarray):
-    """a * (hi + lo) as an unevaluated sum p + e, to about 2**-104 relative.
+def _scaled_round(a: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """(whole, fraction) of a * (hi + lo): its floor as int64 and the rest.
 
-    a * hi = p + (its rounding error) exactly, by Dekker's two-product;
-    a * lo adds the rest of 10**k.
+    a * hi = p + (its rounding error) exactly, by Dekker's two-product, and
+    a * lo adds the rest of 10**k, so p + e holds the product to about
+    2**-104 relative.
     """
     p = a * hi
     a_head, hi_head = _SPLIT * a, _SPLIT * hi
@@ -86,7 +91,12 @@ def _times_power_of_ten(a: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     hi_head -= hi_head - hi
     a_tail, hi_tail = a - a_head, hi - hi_head
     e = a_head * hi_head - p + a_head * hi_tail + a_tail * hi_head + a_tail * hi_tail + a * lo
-    return p, e
+    whole = np.floor(p)
+    fraction = p - whole + e
+    carry_in = np.floor(fraction)
+    fraction -= carry_in
+    # In int64: above 2**53 a float sum would round the carry away.
+    return whole.astype(np.int64) + carry_in.astype(np.int64), fraction
 
 
 def _rounded_decimals(a: np.ndarray, digits: int):
@@ -101,30 +111,31 @@ def _rounded_decimals(a: np.ndarray, digits: int):
 
     One product p = a * hi lies within 10**(digits + 1) * 2**-52 of the
     exact a * 10**k, so it rounds every cell whose fraction lies farther
-    than twice that from 1/2. The rest, every cell from 15 digits up, are
-    scaled again as a double-double (``_times_power_of_ten``).
+    than twice that from 1/2. The rest are scaled again as a double-double
+    (``_scaled_round``). From 15 digits up that margin reaches 1/2, so the
+    product is skipped and the whole chunk takes the double-double.
     """
     proven = (a >= 1e-280) & (a <= 1e280)
     a[~proven] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.int64)
     index = (digits - _SCALE_MIN) - exponent
-    table = _scales(index)
-    p = a * np.take(table[:, 0], index)
-    whole = np.floor(p)
-    fraction = p - whole
-    mantissa = whole.astype(np.int64)
-    unsure = np.flatnonzero(np.abs(fraction - 0.5) <= 10.0 ** (digits + 1) * 2.0**-51)
-    if unsure.size:
-        hi, lo = (np.take(column, index[unsure]) for column in table.T)
-        p, e = _times_power_of_ten(a[unsure], hi, lo)
+    hi, lo = _scales(index).T
+    margin = 10.0 ** (digits + 1) * 2.0**-51
+    if margin >= 0.5:
+        unsure = slice(None)
+        mantissa, fraction = _scaled_round(a, np.take(hi, index), np.take(lo, index))
+    else:
+        p = a * np.take(hi, index)
         whole = np.floor(p)
-        near = p - whole + e
-        carry_in = np.floor(near)
-        near -= carry_in
-        # In int64: above 2**53 a float sum would round the carry away.
-        mantissa[unsure] = whole.astype(np.int64) + carry_in.astype(np.int64)
-        fraction[unsure] = near
-        proven[unsure] &= np.abs(near - 0.5) > _TIE_MARGIN
+        fraction = p - whole
+        mantissa = whole.astype(np.int64)
+        unsure = np.flatnonzero(np.abs(fraction - 0.5) <= margin)
+        if unsure.size:
+            near = index[unsure]
+            mantissa[unsure], fraction[unsure] = _scaled_round(
+                a[unsure], np.take(hi, near), np.take(lo, near)
+            )
+    proven[unsure] &= np.abs(fraction[unsure] - 0.5) > _TIE_MARGIN
     proven &= (mantissa >= 10**digits) & (mantissa < 10 ** (digits + 1))
     mantissa += fraction > 0.5
     carry = mantissa == 10 ** (digits + 1)

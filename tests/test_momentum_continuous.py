@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,15 +207,19 @@ def one_shot_transform(spec, f, p, f_radians):
     return kernel @ (w * f(x)) / np.sqrt(2.0 * np.pi * spec.hbar)
 
 
-# Row-block boundaries (a one-row tail included) and the benchmark's 20001.
-BLOCK_COUNTS = [0, KERNEL_ROWS - 1, KERNEL_ROWS, KERNEL_ROWS + 1, 2 * KERNEL_ROWS + 1, 20001]
+# The direct product's 0 and 1 rows; the edges of a 15-row product step and
+# a 120-row block at 256 nodes; KERNEL_ROWS' edges; and the benchmark's 20001.
+BLOCK_COUNTS = [0, 1, 2, 14, 15, 16, 119, 120, 121, KERNEL_ROWS - 1, KERNEL_ROWS, KERNEL_ROWS + 1]
+BLOCK_COUNTS += [241, 2 * KERNEL_ROWS + 1, 20001]
 
 # Each count in natural units and in custom units, whose hbar != 1 exercises
-# the kernel's 1 / hbar phase scaling.
+# the kernel's 1 / hbar phase scaling; and a wide, heavy box, whose rules
+# have 384 and 393 nodes and so 10-row product steps.
 BLOCK_CASES = [pytest.param(WellSpec(), c, id=str(c)) for c in BLOCK_COUNTS] + [
     pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), c, id=f"custom-{c}")
     for c in BLOCK_COUNTS
 ]
+BLOCK_CASES.append(pytest.param(WellSpec(half_width=7.5, mass=140.0), 4001, id="wide-4001"))
 
 
 @pytest.mark.parametrize("spec, count", BLOCK_CASES)
@@ -279,3 +287,42 @@ def test_transform_memory_does_not_grow_with_probe_count(spec):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# A fresh interpreter times the `farfield` workload's three transforms and a
+# 20001-probe one, and reports the CPU time it burned from just before them
+# to the end of a 0.3 s sleep after them, beside their wall time.
+IDLE_POOL_PROBE = """
+import resource, time
+import numpy as np
+from boxmode import WellSpec, amplitude_transform, default_grid, farfield_map
+
+def cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+spec = WellSpec()
+probes = np.linspace(-6.0, 6.0, 2001) * spec.spike_momentum(1)
+momenta = np.linspace(-1.0, 1.0, 20001) * default_grid(spec, 1).p_max
+time.sleep(0.3)
+before, start = cpu(), time.perf_counter()
+for t in (50.0, 100.0, 200.0):
+    farfield_map(spec, 1, t, probes)
+amplitude_transform(spec, 1, momenta)
+wall = time.perf_counter() - start
+time.sleep(0.3)
+print(cpu() - before, wall)
+"""
+
+
+def test_transforms_leave_no_spinning_thread():
+    """A box transform runs on the calling thread alone: no BLAS pool thread
+    is left spinning after it, which would burn about twice the wall time in
+    CPU. A single busy thread cannot use more CPU than wall time, so load
+    elsewhere on the machine cannot make this fail."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-c", IDLE_POOL_PROBE]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    cpu, wall = map(float, result.stdout.split())
+    assert cpu < 1.25 * wall + 0.05, f"{cpu:.3f} s CPU for {wall:.3f} s of transforms"

@@ -141,15 +141,17 @@ def test_expand_rejects_nan_state(spec):
 
 @pytest.mark.parametrize(
     "spec, k_max",
-    [pytest.param(WellSpec(), k, id=str(k)) for k in (0, 140, 511, 512, 1024)]
+    [pytest.param(WellSpec(), k, id=str(k)) for k in (0, 1, 7, 8, 60, 140, 511, 512, 1024)]
     + [
         pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), k, id=f"custom-{k}")
-        for k in (0, 140, 511, 512, 1024)
+        for k in (0, 1, 7, 8, 60, 140, 511, 512, 1024)
     ],
 )
 def test_blocked_expand_is_bitwise_one_shot(spec, k_max):
-    """k_max = 512 is one full row block plus a one-row tail; k_max = 140
-    sizes an odd, 259-node rule, whose middle node is 0."""
+    """k_max = 1, 7, 8 and 60 give ladders of 3, 15, 17 and 121 rows, at the
+    edges of a 15-row product step and a 120-row block; k_max = 140 sizes an
+    odd, 259-node rule, whose middle node is 0; k_max = 512 and 1024 take
+    4- and 2-row steps."""
     state, phase = Eigenfunction(spec, 2), matched_phase(2)
     a = spec.half_width
     _, momenta = allowed_momenta(spec, phase, k_max)

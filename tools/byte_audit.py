@@ -15,6 +15,10 @@ The ops:
 * every op of ``perfbench/plan.every_variant()`` (this checkout's plan);
 * ``--digits`` 1, 5 and 17 runs of ``release evolve``, ``landau state`` and
   ``momentum continuous``;
+* ``momentum continuous --count`` 3, 15, 17 and 121 at ``--n`` 1 and 20, and
+  ``momentum discrete --k-max`` 1, 7 and 60: momenta and ladders at the edges
+  of the box transforms' product steps (15 rows at n = 1's 256 nodes, 10 at
+  n = 20's 374) and 120-row blocks;
 * four custom-units runs at 9 digits (``release evolve``, ``momentum
   continuous``, ``landau state``, ``well eigenfunction``), with half width
   2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
@@ -57,6 +61,12 @@ DIGIT_OPS = (
     ("momentum", "continuous"),
 )
 
+EDGE_OPS = tuple(
+    ("momentum", "continuous", "--n", n, "--count", count)
+    for n in ("1", "20")
+    for count in ("3", "15", "17", "121")
+) + tuple(("momentum", "discrete", "--k-max", k) for k in ("1", "7", "60"))
+
 CUSTOM_OPS = (
     ("release", "evolve", "--n", "1", "--t", "1"),
     ("momentum", "continuous"),
@@ -71,6 +81,7 @@ def audit_ops(config: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
+    ops += [list(op) for op in EDGE_OPS]
     ops += [[*op, "--config", str(config)] for op in CUSTOM_OPS]
     return ops
 

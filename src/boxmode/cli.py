@@ -8,8 +8,9 @@ consistency check, writes deterministic CSV files into ``--out``, and exits
 (in which case nothing is written). Float flags must be finite.
 
 ``run`` builds the group's spec (``WellSpec``, or ``LandauSpec`` for
-``landau``) and hands it to the leaf's handler, which only computes: it
-returns its checks and tables, and ``run`` prints and writes them.
+``landau``) from the flags and the ``--config`` file (``_schema()``) and
+hands it to the leaf's handler, which only computes: it returns its checks
+and tables, and ``run`` prints and writes them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,103 +60,88 @@ class ConfigError(ValueError):
     """The configuration file or flag set cannot be used."""
 
 
+def _units(value) -> str:
+    if value not in ("natural", "custom"):
+        raise ValueError(f"must be 'natural' or 'custom', got {value!r}")
+    return value
+
+
+def _digits(value) -> int:
+    digits = int(value)
+    if not 1 <= digits <= 17:
+        raise ValueError(f"must lie in 1..17, got {digits}")
+    return digits
+
+
+# LandauSpec fields that flags set, never the config file: field -> flag dest.
+_LANDAU_FLAGS = {"B": "field", "Lx": "edge_x", "Ly": "edge_y"}
+
+
+@functools.cache
+def _schema() -> dict[str, dict]:
+    """The config format: section -> key -> parser of the value text; the
+    unit sections take the spec fields, so their defaults are the specs'."""
+    return {
+        "global": {"units": _units, "digits": _digits, "out": Path},
+        "well": {f.name: float for f in fields(WellSpec)},
+        "landau": {f.name: float for f in fields(LandauSpec) if f.name not in _LANDAU_FLAGS},
+    }
+
+
+def _parsed(parse, value, where: str):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
-    """Resolved run settings: units, output directory, print precision.
-
-    Extra parameter sections from a config file ride along as plain string
-    maps; the spec builders read their unit values from them.
-    """
+    """Resolved run settings, each field checked by its ``global`` parser."""
 
     units: str = "natural"
     digits: int = 12
     out: Path = Path(".")
-    sections: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.units not in ("natural", "custom"):
-            raise ConfigError(f"units must be 'natural' or 'custom', got {self.units!r}")
-        if not 1 <= int(self.digits) <= 17:
-            raise ConfigError(f"digits must lie in 1..17, got {self.digits}")
-        self.out = Path(self.out)
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        sections = parse_config(text)
-        top = sections.pop("global", {})
-        kwargs = {}
-        if "units" in top:
-            kwargs["units"] = top["units"]
-        if "digits" in top:
-            try:
-                kwargs["digits"] = int(top["digits"])
-            except ValueError as exc:
-                raise ConfigError(f"digits must be an integer, got {top['digits']!r}") from exc
-        if "out" in top:
-            kwargs["out"] = Path(top["out"])
-        return cls(sections=sections, **kwargs)
+        for key, parse in _schema()["global"].items():
+            setattr(self, key, _parsed(parse, getattr(self, key), key))
 
 
-def parse_config(text: str) -> dict[str, dict[str, str]]:
-    """Parse the flat ``key = value`` format with ``[section]`` headers.
+def parse_config(text: str, units: str | None = None) -> dict[str, dict]:
+    """Parse the flat ``key = value`` format with ``[section]`` headers into
+    section -> key -> parsed value, checking each line against ``_schema()``.
 
     Lines starting with ``#`` and blank lines are skipped; keys before any
-    header land in the ``global`` section.
+    header land in the ``global`` section. An unknown section, an unknown or
+    repeated key and a value its parser rejects raise ``ConfigError`` naming
+    the line; so does a unit section's key when the run's units (``units``,
+    a flag, over the file's) are natural.
     """
-    sections: dict[str, dict[str, str]] = {}
-    current = "global"
+    schema = _schema()
+    values = {section: {} for section in schema}
+    section, first_unit_key = "global", None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
-            sections.setdefault(current, {})
+            section = line[1:-1].strip()
+            if section not in schema:
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        sections.setdefault(current, {})[key] = value.strip()
-    return sections
-
-
-def _section_float(sections: dict, section: str, key: str, default: float) -> float:
-    value = sections.get(section, {}).get(key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from exc
-
-
-def _well_spec(rc: RunConfig) -> WellSpec:
-    if rc.units == "custom":
-        return WellSpec(
-            half_width=_section_float(rc.sections, "well", "half_width", 1.0),
-            mass=_section_float(rc.sections, "well", "mass", 1.0),
-            hbar=_section_float(rc.sections, "well", "hbar", 1.0),
-        )
-    return WellSpec()
-
-
-def _landau_spec(rc: RunConfig, args) -> LandauSpec:
-    if rc.units == "custom":
-        return LandauSpec(
-            B=args.field,
-            charge=_section_float(rc.sections, "landau", "charge", -1.0),
-            mass=_section_float(rc.sections, "landau", "mass", 1.0),
-            light_speed=_section_float(rc.sections, "landau", "light_speed", 1.0),
-            hbar=_section_float(rc.sections, "landau", "hbar", 1.0),
-            Lx=args.edge_x,
-            Ly=args.edge_y,
-        )
-    return LandauSpec(B=args.field, Lx=args.edge_x, Ly=args.edge_y)
+        key, _, value = (part.strip() for part in line.partition("="))
+        where = f"line {lineno}: key {key!r} in [{section}]"
+        if key not in schema[section]:
+            raise ConfigError(f"{where} is unknown; known: {', '.join(schema[section])}")
+        if key in values[section]:
+            raise ConfigError(f"{where} is given twice")
+        values[section][key] = _parsed(schema[section][key], value, where)
+        if section != "global":
+            first_unit_key = first_unit_key or where
+    if first_unit_key and (units or values["global"].get("units", RunConfig.units)) == "natural":
+        raise ConfigError(f"{first_unit_key} needs units = custom; the run's units are natural")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +499,21 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    rc = RunConfig()
+def _resolve_config(args) -> tuple[RunConfig, WellSpec | LandauSpec]:
+    """The run settings and the group's spec: flags over file over defaults."""
+    text = ""
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        rc = RunConfig.from_text(text)
-    units = args.units if args.units is not None else rc.units
-    digits = args.digits if args.digits is not None else rc.digits
-    out = args.out if args.out is not None else rc.out
-    return RunConfig(units=units, digits=digits, out=Path(out), sections=rc.sections)
+    values = parse_config(text, units=args.units)
+    given = {key: getattr(args, key) for key in _schema()["global"]}
+    rc = RunConfig(**{**values["global"], **{k: v for k, v in given.items() if v is not None}})
+    if args.group != "landau":
+        return rc, WellSpec(**values["well"])
+    flags = {name: getattr(args, dest) for name, dest in _LANDAU_FLAGS.items()}
+    return rc, LandauSpec(**values["landau"], **flags)
 
 
 def run(argv=None) -> int:
@@ -536,8 +525,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        rc = _resolve_config(args)
-        spec = _landau_spec(rc, args) if args.group == "landau" else _well_spec(rc)
+        rc, spec = _resolve_config(args)
         return _emit(args, rc, *args.handler(args, spec, rc))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -545,7 +533,16 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader quit: point stdout at devnull so the exit's flush cannot raise.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
+    sys.exit(code)
 
 
 if __name__ == "__main__":

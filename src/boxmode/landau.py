@@ -598,6 +598,8 @@ def hall_current(spec: LandauSpec, voltage: float) -> HallReport:
     """
     if not (np.isfinite(voltage) and voltage != 0):
         raise ValueError(f"voltage must be finite and nonzero, got {voltage}")
+    if abs(voltage) < np.finfo(float).tiny:  # dividing by a subnormal loses digits
+        raise ValueError(f"voltage must not be subnormal, got {voltage}")
     per_electron = spec.charge * spec.light_speed * voltage / spec.flux
     level_population = spec.flux / spec.flux_quantum
     per_level = level_population * per_electron

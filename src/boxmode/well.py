@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
+from .quadrature import QuadratureSettings, ResolutionError, _index, _positive, bandwidth_order
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,12 @@ class WellSpec:
     def __post_init__(self):
         for name in ("half_width", "mass", "hbar"):
             _positive(getattr(self, name), name)
+        momentum = self.hbar * self.wavenumber(1)
+        if not (0 < momentum < np.inf and 0 < momentum * momentum / (2.0 * self.mass) < np.inf):
+            raise ValueError(
+                f"half_width={self.half_width}, mass={self.mass} and hbar={self.hbar} put "
+                "the ground level's momentum or energy outside the float range"
+            )
 
     def wavenumber(self, n: int) -> float:
         """Wavenumber of the n-th stationary state, n*pi/(2*half_width)."""
@@ -31,8 +37,15 @@ class WellSpec:
         return n * np.pi / (2.0 * self.half_width)
 
     def energy(self, n: int) -> float:
-        """Energy of the n-th stationary state, (hbar*k_n)^2 / (2*mass)."""
-        return (self.hbar * self.wavenumber(n)) ** 2 / (2.0 * self.mass)
+        """Energy of the n-th stationary state, (hbar*k_n)^2 / (2*mass); a
+        level whose energy overflows a float raises ``ResolutionError``."""
+        try:
+            energy = (self.hbar * self.wavenumber(n)) ** 2 / (2.0 * self.mass)
+        except OverflowError:  # a Python float power raises where numpy gives inf
+            energy = np.inf
+        if energy == np.inf:
+            raise ResolutionError(f"level {n}'s energy overflows a float")
+        return energy
 
     def spike_momentum(self, n: int) -> float:
         """Magnitude hbar*k_n shared by the two momentum spikes of state n."""

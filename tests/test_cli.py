@@ -42,8 +42,9 @@ def test_parse_config_sections():
     mass = 0.5
     """
     sections = parse_config(text)
-    assert sections["global"]["units"] == "custom"
-    assert sections["well"] == {"half_width": "2.0", "mass": "0.5"}
+    assert sections["global"] == {"units": "custom"}
+    assert sections["well"] == {"half_width": 2.0, "mass": 0.5}
+    assert sections["landau"] == {}
 
 
 @pytest.mark.parametrize("text", ["just words\n", "[]\nkey = 1\n", "= nameless\n"])
@@ -375,15 +376,113 @@ def test_non_finite_config_unit_returns_two(tmp_path, capsys):
     assert not (tmp_path / "sub").exists()
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        pytest.param(
+            "units = custom\n[well]\nhbr = 0.7\n", (),
+            "line 3: key 'hbr' in [well] is unknown", id="misspelled-key",
+        ),
+        pytest.param(
+            "units = custom\n[well]\ndigits = 9\n", (),
+            "line 3: key 'digits' in [well] is unknown", id="key-in-wrong-section",
+        ),
+        pytest.param(
+            "units = custom\n[landau]\nB = 2.0\n", (),
+            "line 3: key 'B' in [landau] is unknown", id="flag-only-field",
+        ),
+        pytest.param(
+            "units = custom\n[wel]\nhbar = 0.7\n", (),
+            "line 2: unknown section [wel]", id="unknown-section",
+        ),
+        pytest.param(
+            "units = custom\n[well]\nhbar = 0.7\nmass = 2.0\n\nhbar = 0.8\n", (),
+            "line 6: key 'hbar' in [well] is given twice", id="repeated-key",
+        ),
+        pytest.param(
+            "units = custom\n[landau]\ncharge = minus one\n", (),
+            "line 3: key 'charge' in [landau]: could not convert", id="bad-value-unused-section",
+        ),
+        pytest.param(
+            "# natural by default\n[well]\nhbar = 0.7\n", (),
+            "line 3: key 'hbar' in [well] needs units = custom", id="natural-from-file",
+        ),
+        pytest.param(
+            "units = custom\n[well]\nhbar = 0.7\n", ("--units", "natural"),
+            "line 3: key 'hbar' in [well] needs units = custom", id="natural-from-flag",
+        ),
+    ],
+)
+def test_malformed_config_exits_two_naming_line_and_key(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = run_in(tmp_path / "sub", "well", "energies", "--config", str(cfg), *flags)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "sub").exists()
+
+
+def test_landau_units_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "units = custom\n[landau]\ncharge = 2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n",
+        encoding="utf-8",
+    )
+    assert run_in(tmp_path, "landau", "hall", "--config", str(cfg)) == 0
+    assert "config: units=custom" in capsys.readouterr().out
+    lines = (tmp_path / "landau_hall.csv").read_text(encoding="utf-8").splitlines()
+    table = dict(line.split(",") for line in lines[1:])
+    assert float(table["conductance_quantum"]) == pytest.approx(4.0 / (2.0 * np.pi * 1.3))
+    # charge * light_speed * voltage / flux over the flag-set 10 x 10 rectangle
+    assert float(table["per_electron_current"]) == pytest.approx(0.06)
+
+
+def test_units_flag_enables_config_sections(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[global]\ndigits = 8\n[well]\nhalf_width = 2.0\n", encoding="utf-8")
+    code = run_in(
+        tmp_path, "well", "energies", "--n-max", "1",
+        "--config", str(cfg), "--units", "custom",
+    )
+    assert code == 0
+    assert "config: units=custom digits=8" in capsys.readouterr().out
+    lines = (tmp_path / "well_energies.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == f"1,{np.pi**2 / 32.0:.8e}"
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    """A reader that quits early (``| head -1``) gets no traceback on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "boxmode.cli", "well", "energies", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert "Traceback" not in result.stderr
+    assert "BrokenPipeError" not in result.stderr
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("digits = 4\n", encoding="utf-8")
+    cfg.write_text("digits = 4\nout = elsewhere\n", encoding="utf-8")
     code = run_in(
         tmp_path, "well", "energies", "--n-max", "1",
         "--config", str(cfg), "--digits", "6",
     )
     assert code == 0
-    capsys.readouterr()
+    assert f"config: units=natural digits=6 out={tmp_path}\n" in capsys.readouterr().out
+    assert not Path("elsewhere").exists()
     lines = (tmp_path / "well_energies.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "1,1.233701e+00"
 
@@ -430,6 +529,12 @@ def test_landau_hall_zero_voltage_returns_two(tmp_path, capsys):
     # One voltage rule: the library's, with its message.
     assert run_in(tmp_path / "sub", "landau", "hall", "--voltage", "0") == 2
     assert "voltage must be finite and nonzero, got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
+def test_landau_hall_subnormal_voltage_returns_two(tmp_path, capsys):
+    assert run_in(tmp_path / "sub", "landau", "hall", "--voltage", "1e-320") == 2
+    assert "voltage must not be subnormal, got 1e-320" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
 
 

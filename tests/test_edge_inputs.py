@@ -21,6 +21,7 @@ from boxmode import (
     LandauSpec,
     MomentumGrid,
     QuadratureSettings,
+    ResolutionError,
     WellSpec,
     allowed_momenta,
     amplitude_transform,
@@ -31,6 +32,7 @@ from boxmode import (
     evolve_free,
     expand,
     farfield_map,
+    hall_current,
     level_energy,
     landau_gauge_state,
     matched_phase,
@@ -173,8 +175,43 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: ridge_residual(LANDAU, 0, -0.0),
         lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
         lambda: level_energy(LANDAU, np.int32(0)),
-        lambda: WellSpec(half_width=5e-324),
+        lambda: WellSpec(half_width=1e-150),
+        lambda: WellSpec(hbar=1e150).energy(10**3),
+        lambda: hall_current(LANDAU, np.finfo(float).tiny),
     ],
 )
 def test_values_at_each_rule_edge_pass(call):
     call()
+
+
+# (label, call, error type, text its message must hold): inputs each within
+# their own rule whose combination leaves the float range.
+RANGE_RULES = [
+    ("ground energy overflows", lambda: WellSpec(hbar=1e300), ValueError, "hbar=1e+300"),
+    ("ground energy underflows", lambda: WellSpec(hbar=1e-200), ValueError, "hbar=1e-200"),
+    (
+        "ground momentum overflows",
+        lambda: WellSpec(half_width=1e-320),
+        ValueError,
+        "half_width=1e-320",
+    ),
+    ("ground energy, subnormal mass", lambda: WellSpec(mass=1e-310), ValueError, "mass=1e-310"),
+    (
+        "level energy overflows",
+        lambda: WellSpec(hbar=1e150).energy(10**10),
+        ResolutionError,
+        "level 10000000000",
+    ),
+    ("level wavenumber overflows", lambda: WELL.energy(10**400), ResolutionError, "level 1000"),
+    ("subnormal voltage", lambda: hall_current(LANDAU, 1e-320), ValueError, "voltage"),
+    ("largest subnormal voltage", lambda: hall_current(LANDAU, -1e-310), ValueError, "voltage"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, error, text", [pytest.param(*rule[1:], id=rule[0]) for rule in RANGE_RULES]
+)
+def test_inputs_leaving_the_float_range_raise_naming_them(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

@@ -22,7 +22,16 @@ The ops:
 * four custom-units runs at 9 digits (``release evolve``, ``momentum
   continuous``, ``landau state``, ``well eigenfunction``), with half width
   2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
-  hbar 1.3 for the Landau system.
+  hbar 1.3 for the Landau system;
+* the README's example config on every ``well``, ``momentum`` and
+  ``release`` leaf, and a ``[landau]`` config setting charge, mass,
+  light_speed and hbar on every ``landau`` leaf;
+* a config whose ``digits`` and ``out`` the flags override;
+* four malformed configs on ``well energies``: a misspelled key, an
+  unknown section, a unit section without ``units = custom`` and a global
+  key inside ``[well]``.
+
+Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CUSTOM_CONFIG = """\
+# Config file name -> text; ``audit_ops`` refers to them by name.
+CONFIGS = {
+    "custom": """\
 units = custom
 digits = 9
 
@@ -53,7 +64,18 @@ hbar = 0.7
 charge = 2.0
 mass = 0.5
 hbar = 1.3
-"""
+""",
+    "readme": "units = custom\ndigits = 8\n\n[well]\nhalf_width = 2.0\nmass = 0.5\n",
+    "landau": (
+        "units = custom\ndigits = 10\n\n[landau]\n"
+        "charge = -2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n"
+    ),
+    "overridden": "digits = 4\nout = elsewhere\n",
+    "misspelled-key": "units = custom\n[well]\nhbr = 0.7\n",
+    "unknown-section": "units = custom\n[wel]\nhbar = 0.7\n",
+    "natural-units": "[well]\nhbar = 0.7\n",
+    "misplaced-key": "units = custom\n[well]\ndigits = 9\n",
+}
 
 DIGIT_OPS = (
     ("release", "evolve", "--n", "1", "--t", "1"),
@@ -74,15 +96,41 @@ CUSTOM_OPS = (
     ("well", "eigenfunction"),
 )
 
+WELL_LEAVES = (
+    ("well", "energies"),
+    ("well", "eigenfunction"),
+    ("momentum", "continuous"),
+    ("momentum", "discrete"),
+    ("momentum", "compare"),
+    ("release", "evolve"),
+    ("release", "farfield"),
+)
 
-def audit_ops(config: Path) -> list[list[str]]:
+LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
+
+MALFORMED = ("misspelled-key", "unknown-section", "natural-units", "misplaced-key")
+
+# (config name, ops run with it, extra flags)
+CONFIG_OPS = (
+    ("custom", CUSTOM_OPS, ()),
+    ("readme", WELL_LEAVES, ()),
+    ("landau", LANDAU_LEAVES, ()),
+    ("overridden", (("well", "energies"), ("landau", "hall")), ("--digits", "7")),
+    *((name, (("well", "energies"),), ()) for name in MALFORMED),
+)
+
+
+def audit_ops(configs: Path) -> list[list[str]]:
+    """Every op's argv; config files are read from the directory ``configs``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import plan
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
     ops += [list(op) for op in EDGE_OPS]
-    ops += [[*op, "--config", str(config)] for op in CUSTOM_OPS]
+    for name, config_ops, flags in CONFIG_OPS:
+        config = str(configs / f"{name}.cfg")
+        ops += [[*op, "--config", config, *flags] for op in config_ops]
     return ops
 
 
@@ -143,10 +191,10 @@ def main(argv: list[str]) -> int:
     checkouts = [Path(a).resolve() for a in argv]
     with tempfile.TemporaryDirectory(prefix="byte_audit_") as scratch:
         scratch = Path(scratch)
-        config = scratch / "custom.cfg"
-        config.write_text(CUSTOM_CONFIG, encoding="utf-8")
+        for name, text in CONFIGS.items():
+            (scratch / f"{name}.cfg").write_text(text, encoding="utf-8")
         ops_file = scratch / "ops.json"
-        ops_file.write_text(json.dumps(audit_ops(config)), encoding="utf-8")
+        ops_file.write_text(json.dumps(audit_ops(scratch)), encoding="utf-8")
         runs = []
         for side, checkout in zip(("parent", "change"), checkouts):
             work = scratch / side

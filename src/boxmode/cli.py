@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .landau import (
+    RESIDUAL_LIMIT,
     LandauSpec,
     commutator_check,
     degeneracy,
@@ -52,7 +53,7 @@ from .momentum_discrete import (
 )
 from .quadrature import _index, _positive
 from .release import EDGE_DENSITY_LIMIT, evolve_free, farfield_map, grid_kinetic_energy
-from .report import CheckResult, all_passed, check, write_csv
+from .report import CheckResult, all_passed, write_csv
 from .well import Eigenfunction, WellSpec
 
 
@@ -178,8 +179,8 @@ def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
     diffs = np.diff(energies)
     monotone_defect = float(max(0.0, -diffs.min())) if diffs.size else 0.0
     checks = [
-        check("energies-increasing", monotone_defect, 0.0),
-        check("quadratic-ladder", ratio_defect, 1e-12),
+        CheckResult("energies-increasing", monotone_defect, 0.0),
+        CheckResult("quadratic-ladder", ratio_defect, 1e-12),
     ]
     rows = [(n, e) for n, e in zip(levels, energies)]
     return checks, {"well_energies.csv": (("n", "energy"), rows)}
@@ -195,9 +196,9 @@ def cmd_well_eigenfunction(args, spec: WellSpec, rc: RunConfig):
     parity_defect = float(np.abs(values - psi.parity * values[::-1]).max())
     boundary = max(abs(values[0]), abs(values[-1]))
     checks = [
-        check("trapezoid-normalization", norm_defect, 1e-9),
-        check("parity-symmetry", parity_defect, 1e-13),
-        check("vanishes-at-walls", boundary, 0.0),
+        CheckResult("trapezoid-normalization", norm_defect, 1e-9),
+        CheckResult("parity-symmetry", parity_defect, 1e-13),
+        CheckResult("vanishes-at-walls", boundary, 0.0),
     ]
     rows = np.column_stack((x, values))
     return checks, {"well_eigenfunction.csv": (("x", "psi"), rows)}
@@ -214,13 +215,10 @@ def cmd_momentum_continuous(args, spec: WellSpec, rc: RunConfig):
     amp = spec_n.amplitude
     hermitian_defect = float(np.abs(amp[::-1] - np.conj(amp)).max())
     checks = [
-        check("density-matches-closed-form", density_defect, 1e-10),
-        CheckResult(
-            "trapezoid-normalization",
-            0.999 <= integral <= 1.0 + 1e-9,
-            integral - 1.0,
-        ),
-        check("hermitian-symmetry", hermitian_defect, 1e-12),
+        CheckResult("density-matches-closed-form", density_defect, 1e-10),
+        # 0.999 <= integral <= 1 + 1e-9: integral - 1 is exact for integral in [0.5, 2].
+        CheckResult("trapezoid-normalization", integral - 1.0, (0.999 - 1.0, (1.0 + 1e-9) - 1.0)),
+        CheckResult("hermitian-symmetry", hermitian_defect, 1e-12),
     ]
     rows = np.column_stack((grid.points, spec_n.density))
     return checks, {"momentum_continuous.csv": (("p", "probability_density"), rows)}
@@ -233,9 +231,9 @@ def cmd_momentum_discrete(args, spec: WellSpec, rc: RunConfig):
     spike = np.isin(decomposition.indices, eigenstate_spectrum(spec, args.n).indices)
     weights = decomposition.weights
     checks = [
-        check("completeness-defect", decomposition.completeness_defect(), 1e-8),
-        check("spike-weights-half", np.abs(weights[spike] - 0.5).max(initial=0.0), 1e-12),
-        check("off-spike-weights", weights[~spike].max(initial=0.0), 1e-12),
+        CheckResult("completeness-defect", decomposition.completeness_defect(), 1e-8),
+        CheckResult("spike-weights-half", np.abs(weights[spike] - 0.5).max(initial=0.0), 1e-12),
+        CheckResult("off-spike-weights", weights[~spike].max(initial=0.0), 1e-12),
     ]
     rows = decomposition.entries
     return checks, {"momentum_discrete.csv": (("k", "momentum", "weight"), rows)}
@@ -251,12 +249,9 @@ def cmd_momentum_compare(args, spec: WellSpec, rc: RunConfig):
         f"defect {report.defect:.{rc.digits}e}"
     ]
     checks = [
-        check("spike-weight-total", spikes.total_weight() - 1.0, 1e-12),
-        CheckResult(
-            "window-mass-bounded",
-            0.0 < report.mass_in_window < 1.0,
-            report.mass_in_window,
-        ),
+        CheckResult("spike-weight-total", spikes.total_weight() - 1.0, 1e-12),
+        # 0 < mass < 1: 5e-324 and 1 - 2**-53 are the nearest floats inside.
+        CheckResult("window-mass-bounded", report.mass_in_window, (5e-324, 1.0 - 2.0**-53)),
     ]
     rows = np.column_stack((continuous.grid.points, continuous.density))
     spike_rows = [(momentum, weight) for _, momentum, weight in spikes.entries]
@@ -270,49 +265,43 @@ def cmd_momentum_compare(args, spec: WellSpec, rc: RunConfig):
 def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     if (args.box_length is None) != (args.samples is None):
         raise ConfigError("--box-length and --samples must be given together")
-    box = None
-    if args.box_length is not None:
-        box = (args.box_length, args.samples)
+    box = None if args.box_length is None else (args.box_length, args.samples)
     snapshot = evolve_free(spec, args.n, args.t, box=box)
     reference = evolve_free(spec, args.n, 0.0, box=(snapshot.box_length, snapshot.x.size))
     energy_drift = abs(
         grid_kinetic_energy(snapshot, spec) / grid_kinetic_energy(reference, spec) - 1.0
     )
     checks = [
-        check("norm-conservation", snapshot.norm() - 1.0, 1e-9),
-        check("energy-conservation", energy_drift, 1e-9),
-        check("edge-density", snapshot.edge_density, EDGE_DENSITY_LIMIT / spec.half_width),
+        CheckResult("norm-conservation", snapshot.norm() - 1.0, 1e-9),
+        CheckResult("energy-conservation", energy_drift, 1e-9),
+        CheckResult("edge-density", snapshot.edge_density, EDGE_DENSITY_LIMIT / spec.half_width),
     ]
     rows = np.column_stack((snapshot.x, snapshot.psi.real, snapshot.psi.imag, snapshot.density))
     return checks, {"release_evolve.csv": (("x", "psi_re", "psi_im", "density"), rows)}
 
 
 def cmd_release_farfield(args, spec: WellSpec, rc: RunConfig):
-    probe = args.probe_max
-    if probe is None:
-        probe = 6.0 * spec.spike_momentum(args.n)
+    probe = 6.0 * spec.spike_momentum(args.n) if args.probe_max is None else args.probe_max
     _positive(probe, "--probe-max")
     p = np.linspace(-probe, probe, 2001)
     density = farfield_map(spec, args.n, args.t, p)
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
     rows = np.column_stack((p, density))
-    checks = [check("farfield-deviation", deviation, 1e-3)]
+    checks = [CheckResult("farfield-deviation", deviation, 1e-3)]
     return checks, {"release_farfield.csv": (("p", "rescaled_density"), rows)}
 
 
 def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
     if args.gauge == "landau":
-        p_x = args.p_x
-        if p_x is None:
-            p_x = spec.probe_momentum
+        p_x = spec.probe_momentum if args.p_x is None else args.p_x
         state = landau_gauge_state(spec, args.level, p_x)
         residual = ridge_residual(spec, args.level, p_x)
     else:
         state = symmetric_gauge_state(spec, args.level, args.angular)
         residual = ring_residual(spec, args.level, args.angular, state)
     checks = [
-        check("norm-defect", state.norm() - 1.0, 1e-10),
-        check("eigenvalue-residual", residual, 1e-3),
+        CheckResult("norm-defect", state.norm() - 1.0, 1e-10),
+        CheckResult("eigenvalue-residual", residual, RESIDUAL_LIMIT),
     ]
     X, Y = state.meshes()
     psi = state.values
@@ -323,13 +312,7 @@ def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
 
 def cmd_landau_degeneracy(args, spec: LandauSpec, rc: RunConfig):
     report = degeneracy(spec)
-    checks = [
-        CheckResult(
-            "counts-within-one",
-            report.spread <= 1,
-            float(report.spread),
-        )
-    ]
+    checks = [CheckResult("counts-within-one", report.spread, 1.0)]
     rows = [
         ("flux_ratio", report.ratio),
         ("flux_count", report.flux_count),
@@ -342,7 +325,7 @@ def cmd_landau_degeneracy(args, spec: LandauSpec, rc: RunConfig):
 def cmd_landau_hall(args, spec: LandauSpec, rc: RunConfig):
     report = hall_current(spec, args.voltage)
     quantization_defect = abs(report.conductance / report.quantum - 1.0)
-    checks = [check("conductance-quantization", quantization_defect, 1e-12)]
+    checks = [CheckResult("conductance-quantization", quantization_defect, 1e-12)]
     rows = [
         ("per_electron_current", report.per_electron_current),
         ("per_level_current", report.per_level_current),
@@ -355,14 +338,12 @@ def cmd_landau_hall(args, spec: LandauSpec, rc: RunConfig):
 def cmd_landau_checks(args, spec: LandauSpec, rc: RunConfig):
     gauge_l = landau_gauge(spec.B)
     gauge_s = symmetric_gauge(spec.B)
+    gauge_0 = landau_gauge(0.0)
     p_probe = spec.probe_momentum
 
-    checks = [
-        check(f"landau-gauge-level-{n}", ridge_residual(spec, n, p_probe), 1e-3) for n in (0, 1)
-    ]
-    checks += [
-        check(f"symmetric-gauge-ring-{m}", ring_residual(spec, 0, m), 1e-3) for m in (0, 1, 2)
-    ]
+    residuals = {f"landau-gauge-level-{n}": ridge_residual(spec, n, p_probe) for n in (0, 1)}
+    residuals |= {f"symmetric-gauge-ring-{m}": ring_residual(spec, 0, m) for m in (0, 1, 2)}
+    checks = [CheckResult(name, residual, RESIDUAL_LIMIT) for name, residual in residuals.items()]
 
     # The level-0 probe's rectangle again at half its step.
     h = spec.magnetic_length / 16.0
@@ -371,14 +352,14 @@ def cmd_landau_checks(args, spec: LandauSpec, rc: RunConfig):
     fine = landau_gauge_state(spec, 0, p_probe, grid=(x_fine, y_fine))
     r_fine = hamiltonian_residual(spec, gauge_l, fine, level_energy(spec, 0))
     ratio = checks[0].residual / r_fine if r_fine > 0 else np.inf
-    checks.append(CheckResult("refinement-drop-at-least-4x", ratio >= 4.0, float(ratio)))
+    checks.append(CheckResult("refinement-drop-at-least-4x", ratio, (4.0, np.inf)))
 
-    probe_state = gaussian_test_state(spec)
-    checks.append(check("commutator-landau-gauge", commutator_check(spec, gauge_l, probe_state), 1e-3))
-    checks.append(check("commutator-symmetric-gauge", commutator_check(spec, gauge_s, probe_state), 1e-3))
-    checks.append(
-        check("commutator-zero-field", commutator_check(spec, landau_gauge(0.0), probe_state), 1e-10)
-    )
+    probe = gaussian_test_state(spec)
+    checks += [
+        CheckResult("commutator-landau-gauge", commutator_check(spec, gauge_l, probe), 1e-3),
+        CheckResult("commutator-symmetric-gauge", commutator_check(spec, gauge_s, probe), 1e-3),
+        CheckResult("commutator-zero-field", commutator_check(spec, gauge_0, probe), 1e-10),
+    ]
 
     rows = [(c.name, c.residual) for c in checks]
     return checks, {"landau_checks.csv": (("check", "residual"), rows)}

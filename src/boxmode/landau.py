@@ -394,10 +394,12 @@ def hamiltonian_residual(
 # spacing on a wave of wavenumber k = sqrt(waves) / l: waves = 2n + 1 across a
 # level-n ridge and 2 (p_x l / hbar)^2 + 1 along it, and m + 1 for a ring of
 # index m (where the vector potential's term dominates). Halving h = l/8 until
-# waves^3 <= 1000 refine^4 keeps that near the 1e-3 limit (measured residuals
-# are 1.5-2.5 times lower) and leaves the lowest levels and rings on l/8. A
-# probe holds at most PROBE_BUDGET points; apply_hamiltonian keeps about a
-# dozen complex arrays of its size alive, ~400 MB at the budget.
+# waves^3 <= refine^4 / RESIDUAL_LIMIT keeps that near RESIDUAL_LIMIT, the CLI's
+# eigenvalue-residual limit (measured residuals are 1.5-2.5 times lower), and
+# leaves the lowest levels and rings on l/8. A probe holds at most PROBE_BUDGET
+# points; apply_hamiltonian keeps about a dozen complex arrays of its size
+# alive, ~400 MB at the budget.
+RESIDUAL_LIMIT = 1e-3
 PROBE_BUDGET = 2**21
 
 
@@ -406,7 +408,7 @@ def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None
     axis over +-extent times ``columns`` (default: itself) passes the budget,
     as it does for infinite ``waves``."""
     refine = 1
-    while waves * waves * waves > 1000 * refine**4 and refine <= PROBE_BUDGET:
+    while waves * waves * waves > refine**4 / RESIDUAL_LIMIT and refine <= PROBE_BUDGET:
         refine *= 2
     step = spec.magnetic_length / (8.0 * refine)
     rows = 2 * int(np.ceil(extent / step)) + 1

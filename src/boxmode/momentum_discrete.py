@@ -201,6 +201,8 @@ def convergence_report(
     minus the continuous mass captured by the windows. Each window's
     Gauss-Legendre order is sized to the density's phase a (hi - lo) / hbar
     across half of it, so wide windows integrate as exactly as narrow ones.
+    A window so narrow that p ± window_half_width round to one float raises
+    ``ValueError``.
     """
     from .momentum_continuous import analytic_density
 
@@ -209,6 +211,8 @@ def convergence_report(
     _positive(window_half_width, "window_half_width")
 
     p_spike = spec.spike_momentum(n)
+    if p_spike - window_half_width == p_spike + window_half_width:
+        raise ValueError(f"window_half_width {window_half_width} vanishes beside p = {p_spike}")
     windows = [
         (-p_spike - window_half_width, -p_spike + window_half_width),
         (p_spike - window_half_width, p_spike + window_half_width),

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -273,21 +273,30 @@ def write_csv(path, header, rows, digits: int = 12) -> Path:
     return path
 
 
-class CheckResult(NamedTuple):
-    """Outcome of one named consistency check."""
+@dataclass(frozen=True)
+class CheckResult:
+    """One named consistency check: a float residual against its limit.
+
+    A ``(lo, hi)`` limit passes when lo <= residual <= hi; a float limit L
+    is the pair (-L, L), so it passes when |residual| <= L. A nan residual
+    passes neither.
+    """
 
     name: str
-    passed: bool
     residual: float
+    limit: float | tuple[float, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "residual", float(self.residual))
+
+    @property
+    def passed(self) -> bool:
+        lo, hi = self.limit if isinstance(self.limit, tuple) else (-self.limit, self.limit)
+        return lo <= self.residual <= hi
 
     def line(self, digits: int = 12) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"CHECK {self.name}: {verdict} (residual={self.residual:.{digits}e})"
-
-
-def check(name: str, residual: float, limit: float) -> CheckResult:
-    """A CheckResult that passes when |residual| <= limit."""
-    return CheckResult(name=name, passed=abs(residual) <= limit, residual=float(residual))
 
 
 def render_report(title: str, checks, digits: int = 12) -> str:

@@ -24,7 +24,7 @@ class WellSpec:
     def __post_init__(self):
         for name in ("half_width", "mass", "hbar"):
             _positive(getattr(self, name), name)
-        momentum = self.hbar * self.wavenumber(1)
+        momentum = self.hbar * (np.pi / (2.0 * self.half_width))  # spike_momentum(1)
         if not (0 < momentum < np.inf and 0 < momentum * momentum / (2.0 * self.mass) < np.inf):
             raise ValueError(
                 f"half_width={self.half_width}, mass={self.mass} and hbar={self.hbar} put "
@@ -32,17 +32,20 @@ class WellSpec:
             )
 
     def wavenumber(self, n: int) -> float:
-        """Wavenumber of the n-th stationary state, n*pi/(2*half_width)."""
+        """Wavenumber of the n-th stationary state, n*pi/(2*half_width); a
+        level whose wavenumber overflows a float raises ``ResolutionError``."""
         n = _index(n, "level index", 1)
-        return n * np.pi / (2.0 * self.half_width)
+        # From 2**1023 on, n*pi is past the float range, or n itself is.
+        k = n * np.pi / (2.0 * self.half_width) if n.bit_length() <= 1023 else np.inf
+        if k == np.inf:
+            raise ResolutionError(f"level {n}'s wavenumber overflows a float")
+        return k
 
     def energy(self, n: int) -> float:
         """Energy of the n-th stationary state, (hbar*k_n)^2 / (2*mass); a
         level whose energy overflows a float raises ``ResolutionError``."""
-        try:
-            energy = (self.hbar * self.wavenumber(n)) ** 2 / (2.0 * self.mass)
-        except OverflowError:  # a Python float power raises where numpy gives inf
-            energy = np.inf
+        p = self.hbar * self.wavenumber(n)
+        energy = p * p / (2.0 * self.mass)
         if energy == np.inf:
             raise ResolutionError(f"level {n}'s energy overflows a float")
         return energy

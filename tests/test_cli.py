@@ -191,6 +191,13 @@ def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
     assert not (tmp_path / "sub").exists()
 
 
+def test_vanishing_window_is_named(tmp_path, capsys):
+    # p +- 1e-300 rounds to p: the error names the window, not an empty interval.
+    assert run_in(tmp_path / "sub", "momentum", "compare", "--window", "1e-300") == 2
+    assert "error: window_half_width 1e-300 vanishes" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
 def test_momentum_continuous_past_node_budget(tmp_path, capsys):
     # n = 1000 would need a 16,642-node rule; its leggauss matrix alone is 2.2 GB.
     start = time.perf_counter()

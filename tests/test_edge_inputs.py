@@ -203,6 +203,27 @@ RANGE_RULES = [
         "level 10000000000",
     ),
     ("level wavenumber overflows", lambda: WELL.energy(10**400), ResolutionError, "level 1000"),
+    ("level past the floats", lambda: WELL.wavenumber(10**400), ResolutionError, "level 1000"),
+    ("spike past the floats", lambda: WELL.spike_momentum(10**400), ResolutionError, "level 1000"),
+    (
+        "eigenfunction past the floats",
+        lambda: Eigenfunction(WELL, 10**400),
+        ResolutionError,
+        "level 1000",
+    ),
+    ("n pi overflows", lambda: WELL.wavenumber(2**1023), ResolutionError, f"level {2**1023}"),
+    (
+        "wavenumber overflows in a narrow box",
+        lambda: WellSpec(half_width=1e-150).wavenumber(10**160),
+        ResolutionError,
+        f"level {10**160}",
+    ),
+    (
+        "window vanishes beside the spike",
+        lambda: convergence_report(WELL, 1, window_half_width=1e-300),
+        ValueError,
+        "window_half_width 1e-300",
+    ),
     ("subnormal voltage", lambda: hall_current(LANDAU, 1e-320), ValueError, "voltage"),
     ("largest subnormal voltage", lambda: hall_current(LANDAU, -1e-310), ValueError, "voltage"),
 ]

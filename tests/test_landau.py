@@ -24,9 +24,7 @@ from boxmode import (
     vortex_lattice_constant,
     vortex_state,
 )
-from boxmode.landau import _axis, _centered_axis, guiding_center_count, ring_count
-
-RESIDUAL_LIMIT = 1e-3
+from boxmode.landau import RESIDUAL_LIMIT, _axis, _centered_axis, guiding_center_count, ring_count
 
 
 def ridge_grid(spec, p_x, scale=1.0):

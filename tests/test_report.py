@@ -1,3 +1,6 @@
+import inspect
+import math
+from argparse import Namespace
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -7,8 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxmode import CheckResult, render_report, report, write_csv
-from boxmode.report import CSV_CHUNK_ROWS, all_passed, check, format_value
+from boxmode import CheckResult, LandauSpec, WellSpec, render_report, report, write_csv
+from boxmode.cli import (
+    RunConfig,
+    cmd_landau_checks,
+    cmd_landau_degeneracy,
+    cmd_momentum_compare,
+    cmd_momentum_continuous,
+)
+from boxmode.report import CSV_CHUNK_ROWS, all_passed, format_value
 
 
 def test_format_int_stays_plain():
@@ -72,23 +82,100 @@ def test_write_csv_is_deterministic(tmp_path):
 
 
 def test_check_lines():
-    good = check("unitarity", residual=1e-14, limit=1e-9)
-    bad = check("unitarity", residual=1e-3, limit=1e-9)
+    good = CheckResult("unitarity", residual=1e-14, limit=1e-9)
+    bad = CheckResult("unitarity", residual=1e-3, limit=1e-9)
     assert good.passed and not bad.passed
     assert good.line(digits=3) == "CHECK unitarity: PASS (residual=1.000e-14)"
     assert bad.line(digits=3).startswith("CHECK unitarity: FAIL")
 
 
+def test_check_result_derives_its_verdict():
+    assert list(inspect.signature(CheckResult).parameters) == ["name", "residual", "limit"]
+    with pytest.raises(TypeError):
+        CheckResult("one", 0.0, 1.0, True)
+    for residual in (3, np.float64(3.0), np.int64(3)):
+        assert type(CheckResult("one", residual, 1.0).residual) is float
+
+
 def test_render_report_and_all_passed():
-    checks = [
-        CheckResult(name="one", passed=True, residual=0.0),
-        CheckResult(name="two", passed=False, residual=2.0),
-    ]
+    checks = [CheckResult("one", 0.0, 1.0), CheckResult("two", 2.0, (0.0, 1.0))]
     text = render_report("demo", checks, digits=2)
     assert text.splitlines()[0] == "demo"
     assert "CHECK two: FAIL" in text
     assert not all_passed(checks)
     assert all_passed(checks[:1])
+
+
+@pytest.fixture(scope="module")
+def cli_limits():
+    """Check name -> limit, as the CLI leaves with former hand-built verdicts give them."""
+    rc, well, landau = RunConfig(), WellSpec(), LandauSpec()
+    runs = [
+        cmd_momentum_continuous(Namespace(n=1, p_max=None, count=3), well, rc),
+        cmd_momentum_compare(Namespace(n=1, window=None), well, rc),
+        cmd_landau_degeneracy(Namespace(), landau, rc),
+        cmd_landau_checks(Namespace(), landau, rc),
+    ]
+    return {check.name: check.limit for checks, *_ in runs for check in checks}
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _limit_cases(limit, passing, failing):
+    """Rows (residual, limit, verdict) around one limit."""
+    return [(v, limit, True) for v in passing] + [(v, limit, False) for v in failing]
+
+
+def _former_cases(name, old_rule, residual_of, values):
+    """Rows whose limit is the CLI check ``name``'s and whose verdict is the
+    inequality the check evaluated by hand before it had a limit."""
+    return [(residual_of(v), name, old_rule(v)) for v in values]
+
+
+SPECIALS = (math.nan, math.inf, -math.inf)
+VERDICT_CASES = [
+    *_limit_cases(1e-9, (1e-9, -1e-9, 0.0), (_up(1e-9), _down(-1e-9), *SPECIALS)),
+    *_limit_cases(0.0, (0.0, -0.0), (5e-324, -5e-324, *SPECIALS)),
+    *_limit_cases((-0.5, 2.0), (-0.5, 2.0, 0.0), (_down(-0.5), _up(2.0), *SPECIALS)),
+    *_limit_cases((4.0, math.inf), (4.0, math.inf), (_down(4.0), math.nan, -math.inf)),
+    *_former_cases(
+        "trapezoid-normalization",
+        lambda integral: 0.999 <= integral <= 1.0 + 1e-9,
+        lambda integral: integral - 1.0,
+        [
+            *(f(x) for x in (0.999, 1.0 + 1e-9) for f in (_down, float, _up)),
+            0.0, 0.5, 1.0, 2.0, 2.2, *SPECIALS,
+        ],
+    ),
+    *_former_cases(
+        "window-mass-bounded",
+        lambda mass: 0.0 < mass < 1.0,
+        float,
+        [0.0, -0.0, 5e-324, 0.5, _down(1.0), 1.0, _up(1.0), *SPECIALS],
+    ),
+    *_former_cases("counts-within-one", lambda spread: spread <= 1, float, [0, 1, 2, 10**6]),
+    *_former_cases(
+        "refinement-drop-at-least-4x",
+        lambda ratio: ratio >= 4.0,
+        float,
+        [0.0, _down(4.0), 4.0, _up(4.0), *SPECIALS],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "residual, limit, verdict",
+    [pytest.param(*case, id=f"{case[1]}-{case[0]!r}") for case in VERDICT_CASES],
+)
+def test_verdict_is_the_residual_against_its_limit(cli_limits, residual, limit, verdict):
+    limit = cli_limits.get(limit, limit)
+    assert CheckResult("c", residual, limit).passed is verdict
 
 
 @pytest.mark.parametrize("rows", [[(1, 2)], np.ones((1, 2))], ids=["tuples", "array"])

@@ -29,7 +29,12 @@ The ops:
 * a config whose ``digits`` and ``out`` the flags override;
 * four malformed configs on ``well energies``: a misspelled key, an
   unknown section, a unit section without ``units = custom`` and a global
-  key inside ``[well]``.
+  key inside ``[well]``;
+* ops that take the interval-limited checks away from the middle of their
+  limits: ``momentum continuous --p-max 2`` (``trapezoid-normalization``
+  fails), ``momentum compare --window`` 100 (mass 0.9999995) and 1e-300 (a
+  window that vanishes beside the spike), and ``landau checks --field``
+  0.05 and 20.
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -106,6 +111,14 @@ WELL_LEAVES = (
     ("release", "farfield"),
 )
 
+VERDICT_OPS = (
+    ("momentum", "continuous", "--p-max", "2"),
+    ("momentum", "compare", "--window", "100"),
+    ("momentum", "compare", "--window", "1e-300"),
+    ("landau", "checks", "--field", "0.05"),
+    ("landau", "checks", "--field", "20"),
+)
+
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
 MALFORMED = ("misspelled-key", "unknown-section", "natural-units", "misplaced-key")
@@ -127,7 +140,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    ops += [list(op) for op in EDGE_OPS]
+    ops += [list(op) for op in (*EDGE_OPS, *VERDICT_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]

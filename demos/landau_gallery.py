@@ -9,24 +9,16 @@ field or the sample geometry is chosen.
     python3 demos/landau_gallery.py
 """
 
-import numpy as np
-
 from boxmode import (
     LandauSpec,
     commutator_check,
     degeneracy,
-    field_overlap,
     gaussian_test_state,
     hall_current,
     landau_gauge,
-    radial_peak,
-    ring_radius,
     symmetric_gauge,
-    symmetric_gauge_state,
-    vortex_lattice_constant,
-    vortex_state,
 )
-from boxmode.landau import _centered_axis, ridge_residual, ring_residual
+from boxmode.landau import ridge_residual, ring_residual
 
 
 def main():
@@ -42,22 +34,6 @@ def main():
     for angular in range(3):
         r = ring_residual(spec, 0, angular)
         print(f"  ring state, angular {angular}:     {r:.2e}")
-
-    print("\nring radii versus the sqrt(2 L) law:")
-    for angular in (1, 2, 4):
-        measured = radial_peak(symmetric_gauge_state(spec, 0, angular))
-        predicted = ring_radius(spec, angular)
-        print(f"  L={angular}: measured {measured:.4f}, predicted {predicted:.4f}")
-
-    print("\nvortex-state overlaps fall off as exp(-(d/2l)^2):")
-    length = spec.magnetic_length
-    for d in (0.5 * length, vortex_lattice_constant(spec)):
-        axis = _centered_axis(8.0 * length + d, length / 8.0)
-        here = vortex_state(spec, 0j, grid=(axis, axis))
-        there = vortex_state(spec, complex(d, 0.0), grid=(axis, axis))
-        measured = abs(field_overlap(here, there))
-        print(f"  d = {d:.4f}: overlap {measured:.6f} "
-              f"(law: {np.exp(-((d / (2 * length)) ** 2)):.6f})")
 
     probe = gaussian_test_state(spec)
     print("\nkinetic-momentum commutator defects (relative):")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from boxmode import Eigenfunction, WellSpec, normalization_defect, state_overlap, write_csv
+from boxmode import Eigenfunction, WellSpec, state_overlap, write_csv
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
 
     print("\nnormalization defects (256-node quadrature):")
     for n in (1, 2, 5, 8):
-        print(f"  n={n}: {normalization_defect(spec, n):.2e}")
+        print(f"  n={n}: {abs(state_overlap(spec, n, n) - 1.0):.2e}")
 
     print("\nlargest cross overlap among the first six states:", end=" ")
     worst = max(

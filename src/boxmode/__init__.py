@@ -7,7 +7,7 @@ evolutions, and consistency checks from them.
 """
 
 from .quadrature import QuadratureSettings, ResolutionError
-from .well import Eigenfunction, WellSpec, normalization_defect, state_overlap
+from .well import Eigenfunction, WellSpec, state_overlap
 from .momentum_continuous import (
     ContinuousMomentumSpectrum,
     MomentumGrid,
@@ -21,7 +21,6 @@ from .momentum_discrete import (
     DiscreteMomentumSpectrum,
     ExtensionPhase,
     allowed_momenta,
-    basis_state,
     convergence_report,
     eigenstate_spectrum,
     expand,
@@ -43,22 +42,17 @@ from .landau import (
     commutator_check,
     conductance_quantum,
     degeneracy,
-    field_overlap,
     gaussian_test_state,
     hall_current,
     hamiltonian_residual,
     landau_gauge,
     landau_gauge_state,
     level_energy,
-    radial_peak,
     ring_count,
-    ring_radius,
     symmetric_gauge,
     symmetric_gauge_state,
-    vortex_lattice_constant,
-    vortex_state,
 )
-from .report import CheckResult, render_report, write_csv
+from .report import CheckResult, write_csv
 
 __version__ = "0.1.0"
 
@@ -81,7 +75,6 @@ __all__ = [
     "amplitude_transform",
     "analytic_density",
     "apply_hamiltonian",
-    "basis_state",
     "commutator_check",
     "conductance_quantum",
     "convergence_report",
@@ -91,7 +84,6 @@ __all__ = [
     "evolve_free",
     "expand",
     "farfield_map",
-    "field_overlap",
     "gaussian_test_state",
     "grid_kinetic_energy",
     "hall_current",
@@ -100,18 +92,12 @@ __all__ = [
     "landau_gauge_state",
     "level_energy",
     "matched_phase",
-    "normalization_defect",
-    "radial_peak",
-    "render_report",
     "ring_count",
-    "ring_radius",
     "spectrum",
     "state_overlap",
     "suggested_box",
     "symmetric_gauge",
     "symmetric_gauge_state",
     "uncertainty_product",
-    "vortex_lattice_constant",
-    "vortex_state",
     "write_csv",
 ]

@@ -100,11 +100,6 @@ class GaugeField:
             return -self.B * y, np.zeros_like(x)
         return -0.5 * self.B * y, 0.5 * self.B * x
 
-    @property
-    def curl(self) -> float:
-        """d(Ay)/dx - d(Ax)/dy, exactly B for both supported forms."""
-        return self.B
-
 
 def landau_gauge(B: float) -> GaugeField:
     return GaugeField(name="landau", B=B)
@@ -169,13 +164,6 @@ def _normalized_field(x, y, values) -> GridField2D:
     if norm == 0:
         raise ValueError("field vanishes identically on the grid")
     return GridField2D(x=x, y=y, values=values / norm)
-
-
-def field_overlap(f: GridField2D, g: GridField2D) -> complex:
-    """Inner product <f|g>; both fields must live on the same grid."""
-    if not (np.array_equal(f.x, g.x) and np.array_equal(f.y, g.y)):
-        raise ValueError("overlap requires both fields on the same grid")
-    return complex(np.sum(np.conj(f.values) * g.values) * f.dx * f.dy)
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -280,40 +268,6 @@ def symmetric_gauge_state(
             (2 * k + 1 + alpha - 2.0 * r2) * values - np.sqrt(k * (k + alpha)) * previous
         ) / np.sqrt((k + 1) * (k + 1 + alpha))
     return _normalized_field(x, y, (-1) ** order * values)
-
-
-def vortex_state(
-    spec: LandauSpec,
-    center: complex,
-    grid: tuple[np.ndarray, np.ndarray] | None = None,
-) -> GridField2D:
-    """Lowest-level state carrying a phase vortex, centered anywhere.
-
-    ``center`` encodes the position as x + iy. The state is the magnetic
-    translation of the circular ground state: a Gaussian of the distance to
-    the center times a unit-modulus phase linear in position. Overlaps
-    between two such states fall off as exp(-(d / 2 magnetic_length)^2)
-    with d the center separation; at the lattice constant
-    sqrt(2 pi) * magnetic_length the neighbor overlap is exp(-pi/2).
-    """
-    x0, y0 = float(np.real(center)), float(np.imag(center))
-    length = spec.magnetic_length
-    if grid is None:
-        extent = 8.0 * length + max(abs(x0), abs(y0))
-        axis = _centered_axis(extent, length / 8.0)
-        grid = (axis, axis)
-    x, y = grid
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
-    r2 = (X - x0) ** 2 + (Y - y0) ** 2
-    sign = 1.0 if spec.charge < 0 else -1.0
-    phase = np.exp(sign * 1j * (X * y0 - Y * x0) / (2.0 * length**2))
-    values = np.exp(-r2 / (4.0 * length**2)) * phase
-    return _normalized_field(x, y, values)
-
-
-def vortex_lattice_constant(spec: LandauSpec) -> float:
-    """Spacing sqrt(2 pi) * magnetic_length packing one state per flux quantum."""
-    return float(np.sqrt(2.0 * np.pi) * spec.magnetic_length)
 
 
 def _shifted(a: np.ndarray, offset: int, axis: int) -> np.ndarray:
@@ -556,7 +510,7 @@ def ring_count(spec: LandauSpec) -> int:
     def fits(c):
         return length * np.sqrt(2.0 * c) <= radius
 
-    return _count_from(radius**2 / (2.0 * length**2), fits, "rings")
+    return _count_from(radius * radius / (2.0 * length * length), fits, "rings")
 
 
 def degeneracy(spec: LandauSpec) -> DegeneracyReport:
@@ -615,31 +569,5 @@ def hall_current(spec: LandauSpec, voltage: float) -> HallReport:
 
 def conductance_quantum(spec: LandauSpec) -> float:
     """charge^2 / (2 pi hbar), the per-level Hall conductance."""
-    return spec.charge**2 / (2.0 * np.pi * spec.hbar)
+    return spec.charge * spec.charge / (2.0 * np.pi * spec.hbar)
 
-
-def ring_radius(spec: LandauSpec, angular: int) -> float:
-    """Radius magnetic_length * sqrt(2 * angular) of the ring-state maximum."""
-    angular = _index(angular, "angular")
-    return float(spec.magnetic_length * np.sqrt(2.0 * angular))
-
-
-def radial_peak(state: GridField2D) -> float:
-    """Radius of the density maximum along the positive-x cut, sub-grid refined.
-
-    Fits a parabola to the log-density at the on-axis maximum and its two
-    neighbors; exact for a Gaussian-times-power profile to leading order.
-    """
-    if 0.0 not in state.y:
-        raise ValueError("radial cut requires a grid row at y = 0")
-    iy = int(np.where(state.y == 0.0)[0][0])
-    positive = state.x >= 0.0
-    xs = state.x[positive]
-    row = state.density[positive, iy]
-    i = int(np.argmax(row))
-    if i == 0 or i == xs.size - 1:
-        return float(xs[i])
-    logs = np.log(row[i - 1 : i + 2])
-    denom = logs[0] - 2.0 * logs[1] + logs[2]
-    shift = 0.5 * (logs[0] - logs[2]) / denom if denom != 0 else 0.0
-    return float(xs[i] + shift * (xs[1] - xs[0]))

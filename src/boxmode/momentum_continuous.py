@@ -222,6 +222,7 @@ def uncertainty_product(spec: WellSpec, n: int) -> UncertaintyProduct:
     <p^2> = (hbar k_n)^2). The product always exceeds hbar/2.
     """
     dp = spec.spike_momentum(n)
-    variance_x = spec.half_width**2 * (1.0 / 3.0 - 2.0 / (n * np.pi) ** 2)
+    a, n_pi = spec.half_width, n * np.pi
+    variance_x = a * a * (1.0 / 3.0 - 2.0 / (n_pi * n_pi))
     dx = float(np.sqrt(variance_x))
     return UncertaintyProduct(dx, dp, dx * dp)

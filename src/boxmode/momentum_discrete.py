@@ -70,17 +70,6 @@ def allowed_momenta(spec: WellSpec, phase: ExtensionPhase, k_range):
     return ks, phase.momentum(spec, ks)
 
 
-def basis_state(spec: WellSpec, phase: ExtensionPhase, k: int):
-    """Normalized momentum eigenfunction for integer index k, callable on arrays."""
-    p_k = float(phase.momentum(spec, _index(k, "ladder index k", None)))
-    amplitude = 1.0 / np.sqrt(2.0 * spec.half_width)
-
-    def u(x):
-        return amplitude * np.exp(1j * p_k * np.asarray(x, dtype=float) / spec.hbar)
-
-    return u
-
-
 @dataclass(frozen=True)
 class DiscreteMomentumSpectrum:
     """Weights of a state over one extension's momentum ladder."""

@@ -22,20 +22,30 @@ class ResolutionError(ValueError):
     """An input lies beyond what a method resolves within its stated budget."""
 
 
+def _text(value) -> str:
+    """``value`` as error messages print it: ``str(value)``, except that an
+    int past Python's decimal-conversion limit (4,300 digits by default) is
+    named by its sign and bit length."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}{abs(value).bit_length()}-bit integer>"
+
+
 def _index(value, name: str, minimum: int | None = 0) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``minimum``
     (when given) raises ``ValueError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        raise ValueError(f"{name} must be at least {minimum}, got {_text(value)}")
     return int(value)
 
 
 def _positive(value, name: str):
     """Raise ``ValueError`` naming ``name`` unless 0 < ``value`` < inf."""
     if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {_text(value)}")
 
 
 def _finite(value, name: str):
@@ -86,11 +96,6 @@ class QuadratureSettings:
         x, w = _legendre_rule(self.order)
         half = 0.5 * (hi - lo)
         return 0.5 * (hi + lo) + half * x, half * w
-
-    def integrate(self, f, lo: float, hi: float):
-        """Integrate a vectorized callable over ``[lo, hi]``."""
-        x, w = self.nodes(lo, hi)
-        return np.asarray(f(x)) @ w
 
 
 def bandwidth_order(radians: float) -> int:

@@ -299,16 +299,5 @@ class CheckResult:
         return f"CHECK {self.name}: {verdict} (residual={self.residual:.{digits}e})"
 
 
-def render_report(title: str, checks, digits: int = 12) -> str:
-    """Multi-line report: a title, one line per check, and a verdict."""
-    lines = [title]
-    lines += [c.line(digits) for c in checks]
-    failed = [c.name for c in checks if not c.passed]
-    lines.append(
-        "all checks passed" if not failed else f"failed checks: {', '.join(failed)}"
-    )
-    return "\n".join(lines)
-
-
 def all_passed(checks) -> bool:
     return all(c.passed for c in checks)

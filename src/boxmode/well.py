@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, ResolutionError, _index, _positive, bandwidth_order
+from .quadrature import (
+    QuadratureSettings,
+    ResolutionError,
+    _index,
+    _positive,
+    _text,
+    bandwidth_order,
+)
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class WellSpec:
         # From 2**1023 on, n*pi is past the float range, or n itself is.
         k = n * np.pi / (2.0 * self.half_width) if n.bit_length() <= 1023 else np.inf
         if k == np.inf:
-            raise ResolutionError(f"level {n}'s wavenumber overflows a float")
+            raise ResolutionError(f"level {_text(n)}'s wavenumber overflows a float")
         return k
 
     def energy(self, n: int) -> float:
@@ -103,9 +110,3 @@ def state_overlap(spec: WellSpec, m: int, n: int) -> float:
     radians = (psi_m.wavenumber + psi_n.wavenumber) * a
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     return float((psi_m(x) * psi_n(x)) @ w)
-
-
-def normalization_defect(spec: WellSpec, n: int) -> float:
-    """|<n|n> - 1| for the n-th state, a direct quadrature sanity check on
-    the rule ``state_overlap`` sizes to 2 k_n a."""
-    return abs(state_overlap(spec, n, n) - 1.0)

@@ -10,6 +10,7 @@ warning.
 """
 
 import re
+import sys
 from argparse import Namespace
 
 import numpy as np
@@ -36,7 +37,6 @@ from boxmode import (
     level_energy,
     landau_gauge_state,
     matched_phase,
-    ring_radius,
     spectrum,
     state_overlap,
     suggested_box,
@@ -50,7 +50,6 @@ from boxmode.cli import (
     cmd_well_energies,
 )
 from boxmode.landau import ridge_residual, ring_residual
-from boxmode.momentum_discrete import basis_state
 
 WELL = WellSpec()
 LANDAU = LandauSpec()
@@ -77,7 +76,6 @@ INDEX_RULES = [
     ("allowed_momenta", lambda v: allowed_momenta(WELL, PHASE, v), "k_range", 0, 3),
     ("allowed_momenta k_min", lambda v: allowed_momenta(WELL, PHASE, (v, 3)), "k_min", None, -2),
     ("allowed_momenta k_max", lambda v: allowed_momenta(WELL, PHASE, (-2, v)), "k_max", None, 3),
-    ("basis_state", lambda v: basis_state(WELL, PHASE, v), "ladder index k", None, 2),
     ("QuadratureSettings", QuadratureSettings, "quadrature order", 2, 2),
     ("MomentumGrid count", lambda v: MomentumGrid(1.0, v), "count", 3, 5),
     ("box samples", lambda v: evolve_free(WELL, 1, 0.0, box=(32.0, v)), "sample count", 4, 4096),
@@ -88,7 +86,6 @@ INDEX_RULES = [
     ("ridge_residual", lambda v: ridge_residual(LANDAU, v, 0.5), "level", 0, 1),
     ("ring_residual", lambda v: ring_residual(LANDAU, v, 0), "level", 0, 1),
     ("ring_residual angular", lambda v: ring_residual(LANDAU, 0, v), "angular", 0, 1),
-    ("ring_radius", lambda v: ring_radius(LANDAU, v), "angular", 0, 1),
     ("well energies", lambda v: cmd_well_energies(Namespace(n_max=v), WELL, RC), "--n-max", 1, 2),
     (
         "momentum discrete",
@@ -171,7 +168,6 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: expand(WELL, Eigenfunction(WELL, 1), PHASE, np.int64(0)),
         lambda: allowed_momenta(WELL, PHASE, (-2, 3)),
         lambda: allowed_momenta(WELL, PHASE, (np.int64(-3), np.int64(-3))),
-        lambda: basis_state(WELL, PHASE, np.int64(-7)),
         lambda: ridge_residual(LANDAU, 0, -0.0),
         lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
         lambda: level_energy(LANDAU, np.int32(0)),
@@ -234,5 +230,52 @@ RANGE_RULES = [
     "call, error, text", [pytest.param(*rule[1:], id=rule[0]) for rule in RANGE_RULES]
 )
 def test_inputs_leaving_the_float_range_raise_naming_them(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+# Python converts ints of at most sys.get_int_max_str_digits() digits to
+# text; messages name a longer one by its sign and bit length instead.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE = 10**LIMIT
+BITS = f"{HUGE.bit_length()}-bit integer"
+LONGEST = 10 ** (LIMIT - 1)
+
+HUGE_INT_RULES = [
+    ("huge wavenumber", lambda: WELL.wavenumber(HUGE), ResolutionError, f"level <{BITS}>'s"),
+    ("huge energy", lambda: WELL.energy(HUGE), ResolutionError, f"level <{BITS}>'s"),
+    ("huge eigenfunction", lambda: Eigenfunction(WELL, HUGE), ResolutionError, f"level <{BITS}>"),
+    (
+        "huge negative level",
+        lambda: WELL.wavenumber(-HUGE),
+        ValueError,
+        f"level index must be at least 1, got <negative {BITS}>",
+    ),
+    (
+        "huge negative Landau level",
+        lambda: level_energy(LANDAU, -HUGE),
+        ValueError,
+        f"level must be at least 0, got <negative {BITS}>",
+    ),
+    (
+        "huge negative mass",
+        lambda: WellSpec(mass=-HUGE),
+        ValueError,
+        f"mass must be positive and finite, got <negative {BITS}>",
+    ),
+    (
+        "longest decimal level",
+        lambda: WELL.wavenumber(LONGEST),
+        ResolutionError,
+        f"level {LONGEST}'s wavenumber",
+    ),
+]
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="this Python converts ints of any length to text")
+@pytest.mark.parametrize(
+    "call, error, text", [pytest.param(*rule[1:], id=rule[0]) for rule in HUGE_INT_RULES]
+)
+def test_huge_integers_are_named_by_bit_length(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()

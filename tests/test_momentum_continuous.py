@@ -158,6 +158,17 @@ def test_uncertainty_momentum_spread_is_spike_momentum(spec):
         assert uncertainty_product(spec, n).momentum_width == spec.spike_momentum(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 2207])
+@pytest.mark.parametrize("a", [1.0, 1.725367])
+def test_uncertainty_width_squares_by_product(n, a):
+    """a^2 (1/3 - 2/(n pi)^2) with both squares as correctly rounded
+    products: a**2 (C pow) is one ulp off a * a at a = 1.725367, which moves
+    the width, and (n pi)**2 first differs from (n pi) * (n pi) at n = 2207."""
+    n_pi = n * np.pi
+    expected = float(np.sqrt(a * a * (1.0 / 3.0 - 2.0 / (n_pi * n_pi))))
+    assert uncertainty_product(WellSpec(half_width=a), n).position_width == expected
+
+
 @given(n=st.integers(min_value=1, max_value=50))
 @settings(max_examples=30, deadline=None)
 def test_uncertainty_exceeds_lower_bound(n):

@@ -10,7 +10,6 @@ from boxmode import (
     QuadratureSettings,
     WellSpec,
     allowed_momenta,
-    basis_state,
     convergence_report,
     eigenstate_spectrum,
     expand,
@@ -63,17 +62,6 @@ def test_ladder_bad_ranges(spec):
 @pytest.mark.parametrize("n, theta", [(1, np.pi), (2, 0.0), (3, np.pi), (8, 0.0)])
 def test_matched_phase(n, theta):
     assert matched_phase(n).theta == theta
-
-
-@pytest.mark.parametrize("theta", [0.0, np.pi, 1.3])
-def test_basis_orthonormality(spec, theta):
-    """Ladder states of one extension form an orthonormal set over the box."""
-    phase = ExtensionPhase(theta=theta)
-    quad = QuadratureSettings()
-    x, w = quad.nodes(-spec.half_width, spec.half_width)
-    states = np.array([basis_state(spec, phase, k)(x) for k in range(-8, 9)])
-    gram = np.conj(states) @ (w[:, None] * states.T)
-    np.testing.assert_allclose(gram, np.eye(17), atol=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -262,10 +250,10 @@ def test_overlapping_windows_merge(spec):
     # the merged span must not double-count the overlap.
     p1 = spec.spike_momentum(1)
     wide = convergence_report(spec, 1, window_half_width=2.0 * p1)
-    quad = QuadratureSettings()
     from boxmode import analytic_density
 
-    direct = quad.integrate(lambda q: analytic_density(spec, 1, q), -3.0 * p1, 3.0 * p1)
+    q, w = QuadratureSettings().nodes(-3.0 * p1, 3.0 * p1)
+    direct = analytic_density(spec, 1, q) @ w
     assert wide.mass_in_window == pytest.approx(direct, rel=1e-13)
     assert wide.mass_in_window <= 1.0 + 1e-9
 

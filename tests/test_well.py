@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmode import Eigenfunction, WellSpec, normalization_defect, state_overlap
+from boxmode import Eigenfunction, WellSpec, state_overlap
 
 # First three level energies for the natural-unit well, frozen from the
 # closed form (n pi / 2a)^2 hbar^2 / 2m.
@@ -36,13 +36,13 @@ def test_energy_parameter_scaling():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_normalization(spec, n):
-    assert normalization_defect(spec, n) < 1e-14
+    assert abs(state_overlap(spec, n, n) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("n", [150, 200])
 def test_normalization_at_high_levels(spec, n):
     # |psi_n|^2 turns through 2 k_n a = n pi radians; 256 nodes alias here.
-    assert normalization_defect(spec, n) <= 1e-9
+    assert abs(state_overlap(spec, n, n) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 4), (3, 5), (2, 7)])

@@ -168,6 +168,7 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: expand(WELL, Eigenfunction(WELL, 1), PHASE, np.int64(0)),
         lambda: allowed_momenta(WELL, PHASE, (-2, 3)),
         lambda: allowed_momenta(WELL, PHASE, (np.int64(-3), np.int64(-3))),
+        lambda: allowed_momenta(WELL, PHASE, np.int64(0)),
         lambda: ridge_residual(LANDAU, 0, -0.0),
         lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
         lambda: level_energy(LANDAU, np.int32(0)),

@@ -274,6 +274,39 @@ def test_commutator_vanishes_without_field(landau):
     assert commutator_check(landau, free, probe) < 1e-10
 
 
+def axis_peak(state):
+    """Radius of the density maximum along the positive-x cut at y = 0,
+    refined by a parabola through the log-density at the grid maximum and
+    its two neighbors."""
+    iy = int(np.where(state.y == 0.0)[0][0])
+    positive = state.x >= 0.0
+    xs = state.x[positive]
+    row = state.density[positive, iy]
+    i = int(np.argmax(row))
+    logs = np.log(row[i - 1 : i + 2])
+    shift = 0.5 * (logs[0] - logs[2]) / (logs[0] - 2.0 * logs[1] + logs[2])
+    return float(xs[i] + shift * (xs[1] - xs[0]))
+
+
+def test_ring_radii_match_prediction(landau):
+    """The lowest-level ring state of angular momentum m peaks at radius
+    magnetic_length * sqrt(2 m)."""
+    for angular in range(1, 6):
+        state = symmetric_gauge_state(landau, 0, angular)
+        assert axis_peak(state) == pytest.approx(
+            landau.magnetic_length * np.sqrt(2.0 * angular), rel=5e-3
+        )
+
+
+def test_rings_enclose_equal_areas(landau):
+    """Successive ring maxima bound annuli of area one flux quantum's worth,
+    2 pi length^2, to within five percent."""
+    length = landau.magnetic_length
+    radii = [axis_peak(symmetric_gauge_state(landau, 0, L)) for L in range(1, 6)]
+    areas = np.pi * np.diff(np.array(radii) ** 2)
+    np.testing.assert_allclose(areas, 2.0 * np.pi * length**2, rtol=5e-2)
+
+
 def test_degeneracy_three_ways(landau):
     report = degeneracy(landau)
     assert report.ratio == pytest.approx(100.0 / (2.0 * np.pi), rel=1e-14)

@@ -64,6 +64,18 @@ def test_matched_phase(n, theta):
     assert matched_phase(n).theta == theta
 
 
+@pytest.mark.parametrize("theta", [0.0, np.pi, 1.3])
+def test_basis_orthonormality(spec, theta):
+    """Plane waves at one extension's ladder momenta form an orthonormal set
+    over the box."""
+    phase = ExtensionPhase(theta=theta)
+    _, momenta = allowed_momenta(spec, phase, 8)
+    x, w = QuadratureSettings().nodes(-spec.half_width, spec.half_width)
+    states = np.exp(1j * np.outer(momenta, x) / spec.hbar) / np.sqrt(2.0 * spec.half_width)
+    gram = np.conj(states) @ (w[:, None] * states.T)
+    np.testing.assert_allclose(gram, np.eye(17), atol=1e-13)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_eigenstate_spectrum_is_two_exact_spikes(spec, n):
     result = eigenstate_spectrum(spec, n)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import ResolutionError, _finite, _index, _positive
+from .quadrature import ResolutionError, _finite, _index, _positive, _text
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,19 @@ class LandauSpec:
         return float(np.copysign(0.5 * self.hbar / self.magnetic_length, -self.charge))
 
 
+def _level(value, name: str) -> int:
+    """``value`` as a level or ring index: an int from 0 whose float sums
+    (n + 1/2, 2n + 1, 2(n + m)) stay finite, so below 2**1021; a larger one
+    raises ``ResolutionError`` naming ``name``."""
+    index = _index(value, name)
+    if index.bit_length() > 1021:
+        raise ResolutionError(f"{name} {_text(index)} lies past the float range")
+    return index
+
+
 def level_energy(spec: LandauSpec, n: int) -> float:
     """Energy of the n-th level, (n + 1/2) hbar * cyclotron frequency."""
-    n = _index(n, "level")
+    n = _level(n, "level")
     return (n + 0.5) * spec.hbar * spec.cyclotron_frequency
 
 
@@ -189,7 +199,7 @@ def landau_gauge_state(
     a custom (x, y) pair to study the state on its own support. A non-finite
     p_x raises ``ValueError``.
     """
-    n = _index(n, "level")
+    n = _level(n, "level")
     length = spec.magnetic_length
     y_guide = spec.guiding_line(p_x)
     if not 0.0 <= y_guide <= spec.Ly:
@@ -246,8 +256,8 @@ def symmetric_gauge_state(
     moves probability outward along rings of radius
     magnetic_length * sqrt(2 * angular) without changing the energy.
     """
-    n = _index(n, "level")
-    angular = _index(angular, "angular")
+    n = _level(n, "level")
+    angular = _level(angular, "angular")
     length = spec.magnetic_length
     if grid is None:
         axis = _centered_axis(_ring_extent(spec, n, angular), length / 8.0)
@@ -292,7 +302,7 @@ def _derivative2(a: np.ndarray, step: float, axis: int) -> np.ndarray:
         - 30.0 * a
         + 16.0 * _shifted(a, 1, axis)
         - _shifted(a, 2, axis)
-    ) / (12.0 * step**2)
+    ) / (12.0 * (step * step))
 
 
 def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -> np.ndarray:
@@ -310,9 +320,9 @@ def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -
     laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
     gradient_term = A_x * _derivative1(psi, state.dx, 0) + A_y * _derivative1(psi, state.dy, 1)
     return (
-        -(hbar**2) / (2.0 * m) * laplacian
+        -(hbar * hbar) / (2.0 * m) * laplacian
         + (1j * hbar * q / (m * c)) * gradient_term
-        + (q**2 / (2.0 * m * c**2)) * (A_x**2 + A_y**2) * psi
+        + (q * q / (2.0 * m * (c * c))) * (A_x**2 + A_y**2) * psi
     )
 
 
@@ -375,7 +385,7 @@ def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
     """Eigenvalue residual of the level-n ridge with momentum p_x, probed at a
     step sized from the level over y past its turning points (at least 8 l
     each way) and 32 steps of x, along which it is a plane wave."""
-    n = _index(n, "level")
+    n = _level(n, "level")
     y_guide = spec.guiding_line(p_x)
     half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
     along = p_x * spec.magnetic_length / spec.hbar
@@ -393,7 +403,7 @@ def ring_residual(
     sized from the level and ring index. ``built``, the same state on any
     grid, is probed as it is when its axes equal the probe's, which saves a
     second build whenever the step is l/8."""
-    n, angular = _index(n, "level"), _index(angular, "angular")
+    n, angular = _level(n, "level"), _level(angular, "angular")
     extent = _ring_extent(spec, n, angular)
     axis = _centered_axis(extent, _probe_step(spec, max(2 * n + 1, angular + 1), extent))
     if built is not None and np.array_equal(built.x, axis) and np.array_equal(built.y, axis):

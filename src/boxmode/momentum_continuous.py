@@ -159,7 +159,7 @@ def analytic_density(spec: WellSpec, n: int, p):
     _finite(p, "momentum p")
     u = np.abs(p / spec.hbar) - k_n
     lobe = a * np.sinc(u * a / np.pi)
-    density = 4.0 * k_n**2 / (2.0 * np.pi * spec.hbar * a) * (lobe / (2.0 * k_n + u)) ** 2
+    density = 4.0 * k_n * k_n / (2.0 * np.pi * spec.hbar * a) * (lobe / (2.0 * k_n + u)) ** 2
     return float(density) if density.ndim == 0 else density
 
 

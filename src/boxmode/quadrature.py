@@ -3,7 +3,9 @@
 The default 256-node rule, the one most box integrals use, ships as a
 constant (``_legendre256``) holding the exact bits ``leggauss(256)`` gives,
 so a run at that order solves no eigenproblem and never imports
-``numpy.polynomial``. Every other order calls ``leggauss`` once per process.
+``numpy.polynomial``. Every other order is built once per process with the
+bits ``leggauss`` gives, but from LAPACK's tridiagonal eigenvalue solver,
+which starts no BLAS threads (``_legendre_rule``).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest order a box integral may ask for: ``leggauss`` takes ~0.7 s and
-# ~90 MiB at 2048 nodes, ~4 s and ~290 MiB at 4096.
+# Largest order a box integral may ask for. Building its rule takes ~0.15 s
+# at 2048 nodes and ~0.5 s at 4096, and raises the peak RSS by under 1 MiB.
 NODE_BUDGET = 2048
 
 
@@ -56,17 +58,85 @@ def _finite(value, name: str):
         raise ValueError(f"{name} must be finite, got {np.asarray(value)[bad].flat[0]}")
 
 
+@lru_cache(maxsize=1)
+def _dsterf():
+    """LAPACK's ``dsterf`` from the library numpy's linear algebra links, and
+    the integer dtype its arguments take, or None when no symbol named here
+    resolves. Each name fixes the integer width: ``64_`` marks the ILP64
+    interface, and scipy-openblas without it is LP64. A bare ``dsterf_`` is
+    not tried, as its width cannot be told from the name."""
+    import ctypes
+
+    from numpy.ctypeslib import ndpointer
+
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    symbols = (("scipy_dsterf_64_", np.int64), ("dsterf_64_", np.int64), ("scipy_dsterf_", np.int32))
+    for name, width in symbols:
+        try:
+            dsterf = getattr(lib, name)
+        except AttributeError:
+            continue
+        ints, reals = ndpointer(width, 1, flags="C"), ndpointer(np.float64, 1, flags="C")
+        dsterf.argtypes, dsterf.restype = [ints, reals, reals, ints], None
+        return dsterf, width
+    return None
+
+
+def _jacobi_eigenvalues(off):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with a zero
+    diagonal and subdiagonal ``off``, as ``eigvalsh`` gives them for the dense
+    matrix. ``eigvalsh`` is ``dsytrd`` then ``dsterf``, and on a tridiagonal
+    input every ``dsytrd`` reflector is the identity, so ``dsterf`` alone gets
+    the same bits without the blocked updates that wake OpenBLAS's threads."""
+    found = _dsterf()
+    if found is None:
+        return np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    dsterf, width = found
+    d, e = np.zeros(len(off) + 1), off.copy()
+    n, info = np.array([len(d)], width), np.zeros(1, width)
+    dsterf(n, d, e, info)
+    if info[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return d
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(order: int):
     """Nodes and weights of the ``order``-node rule on [-1, 1], as
     ``leggauss(order)`` returns them; 256 nodes come from the shipped half
-    rule, mirrored."""
+    rule, mirrored.
+
+    Any other order follows ``leggauss`` step for step, except that the
+    eigenvalues of the Legendre Jacobi matrix (Golub & Welsch, Math. Comp.
+    23, 221 (1969)) come from its two diagonals by ``_jacobi_eigenvalues``,
+    never from the dense ``legcompanion`` matrix."""
     if order == 256:
         from ._legendre256 import NODES, WEIGHTS
 
         nodes, weights = np.array(NODES), np.array(WEIGHTS)
         return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
-    return np.polynomial.legendre.leggauss(order)
+    from numpy.polynomial.legendre import legder, legval
+
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    x = _jacobi_eigenvalues(np.arange(1, order) * scl[:-1] * scl[1:])
+    c = np.array([0] * order + [1])
+    # One Newton step, then the weights, symmetrized and scaled, as leggauss.
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -80,8 +150,8 @@ class QuadratureSettings:
         turns through up to about 430 radians over half the interval; the
         package's box integrals take their order from ``bandwidth_order``,
         which never drops below this default. The 256-node rule is shipped
-        as a constant; any other order is computed by ``leggauss`` on its
-        first use in a process (~0.7 s at 2048 nodes).
+        as a constant; any other order is built with ``leggauss``'s bits on
+        its first use in a process (~0.15 s at 2048 nodes).
     """
 
     order: int = 256

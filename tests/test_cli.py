@@ -170,6 +170,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("well", "nonsense"),
         ("landau", "state", "--level", "5000"),
         ("landau", "state", "--gauge", "symmetric", "--level", "60", "--angular", "30"),
+        # A ring index past the float range: once an OverflowError traceback.
+        ("landau", "state", "--gauge", "symmetric", "--angular", str(10**400)),
         # Non-finite flags: once an OverflowError traceback or a NaN table.
         ("release", "evolve", "--t", "inf"),
         ("landau", "degeneracy", "--edge-x", "inf"),

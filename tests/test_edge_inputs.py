@@ -172,6 +172,7 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: ridge_residual(LANDAU, 0, -0.0),
         lambda: evolve_free(WELL, 1, 0.0, box=(16.0, np.int64(2048))),
         lambda: level_energy(LANDAU, np.int32(0)),
+        lambda: level_energy(LANDAU, 2**1021 - 1),
         lambda: WellSpec(half_width=1e-150),
         lambda: WellSpec(hbar=1e150).energy(10**3),
         lambda: hall_current(LANDAU, np.finfo(float).tiny),
@@ -220,6 +221,19 @@ RANGE_RULES = [
         lambda: convergence_report(WELL, 1, window_half_width=1e-300),
         ValueError,
         "window_half_width 1e-300",
+    ),
+    # Landau levels and ring indices stay below 2**1021, where 2(n + m),
+    # 2n + 1 and n + 1/2 are still floats.
+    *(
+        (
+            f"{label} at {text}",
+            lambda call=call, bad=bad: call(bad),
+            ResolutionError,
+            f"{name} {bad}",
+        )
+        for label, call, name, *_ in INDEX_RULES
+        if name in ("level", "angular")
+        for text, bad in (("2**1021", 2**1021), ("10**400", 10**400))
     ),
     ("subnormal voltage", lambda: hall_current(LANDAU, 1e-320), ValueError, "voltage"),
     ("largest subnormal voltage", lambda: hall_current(LANDAU, -1e-310), ValueError, "voltage"),

@@ -61,6 +61,12 @@ def test_density_value_at_spike_is_level_independent(spec):
         assert analytic_density(spec, n, p) == pytest.approx(expected, rel=1e-12)
 
 
+def test_density_squares_the_wavenumber_by_product():
+    """4 k_n^2 takes k_n * k_n, which is correctly rounded; k_n**2 (C pow) is
+    one ulp off it at n = 283, where the density read 2.9402254022237157e-06."""
+    assert analytic_density(WellSpec(), 283, 0.3) == 2.940225402223716e-06
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), 15, 20, 40])
 def test_transform_matches_closed_form(spec, n):
     """Quadrature transform and the closed-form density agree across the
@@ -300,9 +306,10 @@ def test_transform_memory_does_not_grow_with_probe_count(spec):
     assert peak < 24 * 2**20
 
 
-# A fresh interpreter times the `farfield` workload's three transforms and a
-# 20001-probe one, and reports the CPU time it burned from just before them
-# to the end of a 0.3 s sleep after them, beside their wall time.
+# A fresh interpreter times the `farfield` workload's three transforms, a
+# 20001-probe one and a level-20 one, whose 374-node rule is built rather than
+# shipped, and reports the CPU time it burned from just before them to the
+# end of a 0.3 s sleep after them, beside their wall time.
 IDLE_POOL_PROBE = """
 import resource, time
 import numpy as np
@@ -320,6 +327,7 @@ before, start = cpu(), time.perf_counter()
 for t in (50.0, 100.0, 200.0):
     farfield_map(spec, 1, t, probes)
 amplitude_transform(spec, 1, momenta)
+amplitude_transform(spec, 20, default_grid(spec, 20).points)
 wall = time.perf_counter() - start
 time.sleep(0.3)
 print(cpu() - before, wall)
@@ -327,10 +335,11 @@ print(cpu() - before, wall)
 
 
 def test_transforms_leave_no_spinning_thread():
-    """A box transform runs on the calling thread alone: no BLAS pool thread
-    is left spinning after it, which would burn about twice the wall time in
-    CPU. A single busy thread cannot use more CPU than wall time, so load
-    elsewhere on the machine cannot make this fail."""
+    """A box transform, its Gauss-Legendre rule included, runs on the calling
+    thread alone: no BLAS pool thread is left spinning after it, which would
+    burn about twice the wall time in CPU. A single busy thread cannot use
+    more CPU than wall time, so load elsewhere on the machine cannot make
+    this fail."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     command = [sys.executable, "-c", IDLE_POOL_PROBE]
     result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)

@@ -1,8 +1,15 @@
+import ctypes
+
 import numpy as np
 import pytest
 
-from boxmode import QuadratureSettings, ResolutionError
+from boxmode import QuadratureSettings, ResolutionError, quadrature
 from boxmode.quadrature import NODE_BUDGET, _legendre_rule, bandwidth_order
+
+leggauss = np.polynomial.legendre.leggauss
+needs_dsterf = pytest.mark.skipif(
+    quadrature._dsterf() is None, reason="numpy's LAPACK exports no known dsterf"
+)
 
 
 @pytest.mark.parametrize("radians", [300.0, 448.0, 1000.0, 2000.0, 3000.0])
@@ -54,3 +61,52 @@ def test_shipped_256_rule_is_bitwise_leggauss():
     assert x.tobytes() == live_x.tobytes()
     assert w.tobytes() == live_w.tobytes()
     assert np.array_equal(live_x[::-1], -live_x) and np.array_equal(live_w[::-1], live_w)
+
+
+def test_built_rules_are_bitwise_leggauss():
+    """Every order the box transforms build just above the shipped 256, and
+    larger ones up to the budget, carry leggauss's exact bits."""
+    for order in [*range(257, 401), 862, 1024, NODE_BUDGET]:
+        x, w = _legendre_rule.__wrapped__(order)
+        live_x, live_w = leggauss(order)
+        assert x.tobytes() == live_x.tobytes(), order
+        assert w.tobytes() == live_w.tobytes(), order
+
+
+@needs_dsterf
+def test_rules_build_without_eigvalsh(monkeypatch):
+    """The eigenvalues come from LAPACK's tridiagonal solver, never from the
+    dense eigvalsh."""
+    expected = leggauss(300)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    x, w = _legendre_rule.__wrapped__(300)
+    assert x.tobytes() == expected[0].tobytes() and w.tobytes() == expected[1].tobytes()
+
+
+def test_rules_without_dsterf_are_bitwise_leggauss(monkeypatch):
+    """Where no known dsterf symbol resolves, the eigenvalues come from
+    eigvalsh on the dense matrix, as in leggauss."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(quadrature, "_dsterf", quadrature._dsterf.__wrapped__)
+    assert quadrature._dsterf() is None
+    for order in (2, 3, 257, 374):
+        x, w = _legendre_rule.__wrapped__(order)
+        live_x, live_w = leggauss(order)
+        assert x.tobytes() == live_x.tobytes() and w.tobytes() == live_w.tobytes()
+
+
+@needs_dsterf
+def test_dsterf_failure_raises_linalg_error(monkeypatch):
+    """A nonzero INFO from dsterf raises LinAlgError, as eigvalsh does."""
+    _, width = quadrature._dsterf()
+
+    def fail(n, d, e, info):
+        info[0] = 1
+
+    monkeypatch.setattr(quadrature, "_dsterf", lambda: (fail, width))
+    with pytest.raises(np.linalg.LinAlgError):
+        _legendre_rule.__wrapped__(300)

@@ -19,6 +19,10 @@ The ops:
   ``momentum discrete --k-max`` 1, 7 and 60: momenta and ladders at the edges
   of the box transforms' product steps (15 rows at n = 1's 256 nodes, 10 at
   n = 20's 374) and 120-row blocks;
+* ``momentum continuous --p-max`` 435, 3944 and 3945 and ``momentum
+  discrete --k-max 1255``: the first Gauss-Legendre order above the shipped
+  256 (257 nodes), exactly ``NODE_BUDGET`` (2048 nodes, by both transforms)
+  and the first span past it (exit 2);
 * four custom-units runs at 9 digits (``release evolve``, ``momentum
   continuous``, ``landau state``, ``well eigenfunction``), with half width
   2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
@@ -94,6 +98,13 @@ EDGE_OPS = tuple(
     for count in ("3", "15", "17", "121")
 ) + tuple(("momentum", "discrete", "--k-max", k) for k in ("1", "7", "60"))
 
+RULE_OPS = (
+    ("momentum", "continuous", "--p-max", "435"),
+    ("momentum", "continuous", "--p-max", "3944"),
+    ("momentum", "continuous", "--p-max", "3945"),
+    ("momentum", "discrete", "--k-max", "1255"),
+)
+
 CUSTOM_OPS = (
     ("release", "evolve", "--n", "1", "--t", "1"),
     ("momentum", "continuous"),
@@ -140,7 +151,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    ops += [list(op) for op in (*EDGE_OPS, *VERDICT_OPS)]
+    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]

@@ -52,7 +52,13 @@ from .momentum_discrete import (
     matched_phase,
 )
 from .quadrature import _index, _positive
-from .release import EDGE_DENSITY_LIMIT, evolve_free, farfield_map, grid_kinetic_energy
+from .release import (
+    EDGE_DENSITY_LIMIT,
+    evolve_free,
+    farfield_map,
+    grid_kinetic_energy,
+    suggested_box,
+)
 from .report import CheckResult, all_passed, write_csv
 from .well import Eigenfunction, WellSpec
 
@@ -265,9 +271,11 @@ def cmd_momentum_compare(args, spec: WellSpec, rc: RunConfig):
 def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     if (args.box_length is None) != (args.samples is None):
         raise ConfigError("--box-length and --samples must be given together")
-    box = None if args.box_length is None else (args.box_length, args.samples)
+    box = (args.box_length, args.samples)
+    if args.box_length is None:
+        box = suggested_box(spec, args.n, args.t)
     snapshot = evolve_free(spec, args.n, args.t, box=box)
-    reference = evolve_free(spec, args.n, 0.0, box=(snapshot.box_length, snapshot.x.size))
+    reference = evolve_free(spec, args.n, 0.0, box=box)
     energy_drift = abs(
         grid_kinetic_energy(snapshot, spec) / grid_kinetic_energy(reference, spec) - 1.0
     )
@@ -294,8 +302,9 @@ def cmd_release_farfield(args, spec: WellSpec, rc: RunConfig):
 def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
     if args.gauge == "landau":
         p_x = spec.probe_momentum if args.p_x is None else args.p_x
-        state = landau_gauge_state(spec, args.level, p_x)
+        # The probe's budget rejects a level before the default grid is built.
         residual = ridge_residual(spec, args.level, p_x)
+        state = landau_gauge_state(spec, args.level, p_x)
     else:
         state = symmetric_gauge_state(spec, args.level, args.angular)
         residual = ring_residual(spec, args.level, args.angular, state)

@@ -254,13 +254,17 @@ def symmetric_gauge_state(
     charge (its conjugate for positive), and the ladder operators' sign
     (-1)^min(n, m); sampled and normalized numerically. The ring index
     moves probability outward along rings of radius
-    magnetic_length * sqrt(2 * angular) without changing the energy.
+    magnetic_length * sqrt(2 * angular) without changing the energy. The
+    default grid spans the ring's extent at step magnetic_length/8; past
+    ``PROBE_BUDGET`` points it raises ``ResolutionError`` before allocating.
     """
     n = _level(n, "level")
     angular = _level(angular, "angular")
     length = spec.magnetic_length
     if grid is None:
-        axis = _centered_axis(_ring_extent(spec, n, angular), length / 8.0)
+        # length / 8 by the probe rule, budgeted before anything is allocated.
+        extent = _ring_extent(spec, n, angular)
+        axis = _centered_axis(extent, _probe_step(spec, 1, extent))
         grid = (axis, axis)
     x, y = grid
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
@@ -446,19 +450,14 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     return float(np.abs(defect[interior]).max() / scale)
 
 
-def gaussian_test_state(
-    spec: LandauSpec, grid: tuple[np.ndarray, np.ndarray] | None = None
-) -> GridField2D:
+def gaussian_test_state(spec: LandauSpec) -> GridField2D:
     """A smooth, anisotropic, tilted Gaussian for derivative checks."""
     length = spec.magnetic_length
-    if grid is None:
-        axis = _axis(-8.0 * length, 8.0 * length, length / 8.0)
-        grid = (axis, axis)
-    x, y = grid
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
+    axis = _axis(-8.0 * length, 8.0 * length, length / 8.0)
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
     envelope = np.exp(-(X**2 + 1.3 * Y**2 + 0.4 * X * Y) / (5.0 * length**2))
     ripple = np.exp(0.3j * (X + 0.7 * Y) / length)
-    return _normalized_field(x, y, envelope * ripple)
+    return _normalized_field(axis, axis, envelope * ripple)
 
 
 class DegeneracyReport(NamedTuple):

@@ -49,24 +49,10 @@ def matched_phase(n: int) -> ExtensionPhase:
     return ExtensionPhase(theta=np.pi if n % 2 else 0.0)
 
 
-def _k_indices(k_range) -> np.ndarray:
-    if np.ndim(k_range) == 0:
-        m = _index(k_range, "k_range")
-        return np.arange(-m, m + 1)
-    lo, hi = k_range
-    lo, hi = _index(lo, "k_min", None), _index(hi, "k_max", None)
-    if hi < lo:
-        raise ValueError(f"empty index range ({lo}, {hi})")
-    return np.arange(lo, hi + 1)
-
-
-def allowed_momenta(spec: WellSpec, phase: ExtensionPhase, k_range):
-    """Indices and momenta of one extension's ladder.
-
-    ``k_range`` is either an int m (meaning indices -m..m) or an inclusive
-    (k_min, k_max) pair of ints. Momenta come back strictly increasing in k.
-    """
-    ks = _k_indices(k_range)
+def allowed_momenta(spec: WellSpec, phase: ExtensionPhase, k_max: int):
+    """Indices -k_max..k_max of one extension's ladder and their momenta, increasing in k."""
+    k_max = _index(k_max, "k_max")
+    ks = np.arange(-k_max, k_max + 1)
     return ks, phase.momentum(spec, ks)
 
 
@@ -122,7 +108,7 @@ def expand(
     (``_in_row_blocks``), so memory stays bounded for any k_max.
     """
     a = spec.half_width
-    ks, momenta = allowed_momenta(spec, phase, _index(k_max, "k_max"))
+    ks, momenta = allowed_momenta(spec, phase, k_max)
     radians = a * float(np.abs(momenta).max()) / spec.hbar
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
     values = np.asarray(state(x), dtype=complex)
@@ -175,7 +161,6 @@ class ConvergenceReport:
     level: int
     window_half_width: float
     mass_in_window: float
-    spike_weight: float
     defect: float
 
 
@@ -219,6 +204,5 @@ def convergence_report(
         level=n,
         window_half_width=float(window_half_width),
         mass_in_window=mass,
-        spike_weight=1.0,
         defect=1.0 - mass,
     )

@@ -34,12 +34,12 @@ def _text(value) -> str:
         return f"<{'negative ' if value < 0 else ''}{abs(value).bit_length()}-bit integer>"
 
 
-def _index(value, name: str, minimum: int | None = 0) -> int:
+def _index(value, name: str, minimum: int = 0) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``minimum``
-    (when given) raises ``ValueError`` naming ``name``."""
+    raises ``ValueError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {_text(value)}")
     return int(value)
 

@@ -61,10 +61,6 @@ class EvolutionSnapshot:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
-    def box_length(self) -> float:
-        return self.dx * self.x.size
-
     @cached_property
     def density(self) -> np.ndarray:
         """|psi|^2 at every sample, computed once per snapshot."""

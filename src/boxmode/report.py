@@ -9,13 +9,9 @@ from pathlib import Path
 import numpy as np
 
 
-# Rows per chunk on the array path: large enough that the per-chunk
-# overhead vanishes, small enough that a chunk's text stays a few MiB
-# however long the table is.
-CSV_CHUNK_ROWS = 65536
-# Cells per chunk on the float path, which caps its rows below
-# CSV_CHUNK_ROWS: its temporaries take a few hundred bytes per cell, and a
-# chunk this size keeps them in the CPU cache.
+# Cells per chunk on the array path: its temporaries take a few hundred
+# bytes per cell, and a chunk this size keeps them in the CPU cache however
+# long the table is.
 _FLOAT_CHUNK_CELLS = 16384
 
 # Exponents k of the scales 10**k the float path uses: a cell |v| in
@@ -204,19 +200,10 @@ def _float_text(chunk: np.ndarray, digits: int) -> bytes:
 
 
 def _array_chunks(rows: np.ndarray, digits: int):
-    """Yield the CSV bytes of ``rows``, at most ``CSV_CHUNK_ROWS`` rows at a time."""
-    step = CSV_CHUNK_ROWS
-    if rows.dtype.kind == "f":
-        step = min(step, max(1, _FLOAT_CHUNK_CELLS // rows.shape[1]))
-        render = functools.partial(_float_text, digits=digits)
-    else:
-        line = ",".join(["%d"] * rows.shape[1]) + "\n"
-
-        def render(chunk):
-            return (line * len(chunk) % tuple(chunk.ravel().tolist())).encode()
-
+    """Yield the CSV bytes of ``rows``, ``_FLOAT_CHUNK_CELLS`` cells (or one row) at a time."""
+    step = max(1, _FLOAT_CHUNK_CELLS // rows.shape[1])
     for start in range(0, len(rows), step):
-        yield render(rows[start : start + step])
+        yield _float_text(rows[start : start + step], digits)
 
 
 def write_csv(path, header, rows, digits: int = 12) -> Path:
@@ -224,21 +211,19 @@ def write_csv(path, header, rows, digits: int = 12) -> Path:
 
     ``rows`` takes one of two forms:
 
-    * a 2-D numpy array, one table row per array row. Every cell shares the
-      array's dtype: floats render as ``%.{digits}e`` and integers as
-      ``%d``; bool, complex, string and object arrays raise ``TypeError``.
-      The array is rendered at most ``CSV_CHUNK_ROWS`` rows at a time
-      and each chunk is written as it is made, so the text in memory stays bounded
-      however long the table is. Float chunks are rounded and laid out in
-      numpy, byte for byte as ``%`` prints them: one product by a power of
-      ten rounds most cells, a double-double the rest, and the digits go
-      in four to a word. The cells that cannot be proven so (zeros,
-      non-finite values, magnitudes outside [1e-280, 1e280], near-ties) go
-      through ``%`` itself. Integer chunks go through one ``%d`` line
-      template;
+    * a 2-D float array, one table row per array row, every cell rendered
+      as ``%.{digits}e``; integer, bool, complex, string and object arrays
+      raise ``TypeError``. The array is rendered ``_FLOAT_CHUNK_CELLS``
+      cells at a time and each chunk is written as it is made, so the text
+      in memory stays bounded however long the table is. Each chunk is
+      rounded and laid out in numpy, byte for byte as ``%`` prints it: one
+      product by a power of ten rounds most cells, a double-double the
+      rest, and the digits go in four to a word. The cells that cannot be
+      proven so (zeros, non-finite values, magnitudes outside [1e-280,
+      1e280], near-ties) go through ``%`` itself;
     * a sequence of row tuples, each cell through ``format_value``. This is
-      the form for mixed rows (strings, or ints beside floats) and the
-      reference the array form is tested against.
+      the form for ints and mixed rows (strings, or ints beside floats) and
+      the reference the array form is tested against.
 
     Both forms give the same bytes for the same values. Floats are rendered
     in scientific notation with the given digit count, so identical tables
@@ -254,8 +239,8 @@ def write_csv(path, header, rows, digits: int = 12) -> Path:
             raise ValueError(
                 f"array of shape {rows.shape} does not match header width {len(header)}"
             )
-        if rows.dtype.kind not in "fiu":
-            raise TypeError(f"array tables hold float or integer cells, not {rows.dtype}")
+        if rows.dtype.kind != "f":
+            raise TypeError(f"array tables hold float cells, not {rows.dtype}")
         chunks = _array_chunks(rows, digits)
     else:
         chunks = []

@@ -94,10 +94,6 @@ class Eigenfunction:
         """+1 when psi(-x) = psi(x), -1 when psi(-x) = -psi(x)."""
         return 1 if self.n % 2 else -1
 
-    @property
-    def energy(self) -> float:
-        return self.spec.energy(self.n)
-
 
 def state_overlap(spec: WellSpec, m: int, n: int) -> float:
     """Inner product of stationary states m and n over the box.

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from boxmode.landau import (
     _axis,
     _centered_axis,
     _probe_step,
+    _ring_extent,
     ridge_residual,
     ring_residual,
 )
@@ -172,6 +174,9 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("landau", "state", "--gauge", "symmetric", "--level", "60", "--angular", "30"),
         # A ring index past the float range: once an OverflowError traceback.
         ("landau", "state", "--gauge", "symmetric", "--angular", str(10**400)),
+        # Ring grids past the probe budget: once a 1.65 TiB allocation error.
+        ("landau", "state", "--gauge", "symmetric", "--angular", str(10**20)),
+        ("landau", "state", "--gauge", "symmetric", "--level", str(10**20)),
         # Non-finite flags: once an OverflowError traceback or a NaN table.
         ("release", "evolve", "--t", "inf"),
         ("landau", "degeneracy", "--edge-x", "inf"),
@@ -266,10 +271,38 @@ def test_symmetric_state_at_the_probe_step_is_built_once(tmp_path, capsys, monke
     assert ring_residual(spec, 3, 8, state) == ring_residual(spec, 3, 8)
 
 
+@pytest.mark.parametrize("level", ["5000", "20000"])
+def test_rejected_level_never_builds_the_default_ridge(tmp_path, capsys, monkeypatch, level):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return landau_gauge_state(*args, **kwargs)
+
+    # The handler builds the default grid through the cli binding; the probe
+    # builds its own through landau's, which stays uncounted.
+    monkeypatch.setattr("boxmode.cli.landau_gauge_state", counted)
+    assert run_in(tmp_path / "sub", "landau", "state", "--level", level) == 2
+    assert f"exceeds {PROBE_BUDGET} points" in capsys.readouterr().err
+    assert builds == []
+
+
+@pytest.mark.parametrize("field", [0.37, 1.0, 2.5, 7.3])
+def test_default_ring_grid_steps_by_an_eighth_length(field):
+    # The default grid takes its step from the probe rule at one wave, which
+    # must be magnetic_length / 8 bit for bit.
+    spec = LandauSpec(B=field)
+    axis = _centered_axis(_ring_extent(spec, 1, 2), spec.magnetic_length / 8.0)
+    state = symmetric_gauge_state(spec, 1, 2)
+    assert np.array_equal(state.x, axis) and np.array_equal(state.y, axis)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_past_budget_raises():
     spec = LandauSpec()
     for probe in (
+        # The default ring grid, before a single point is allocated.
+        lambda: symmetric_gauge_state(spec, 0, 10**20),
         lambda: ring_residual(spec, 60, 30),
         lambda: ring_residual(spec, 0, 400),
         lambda: ridge_residual(spec, 5000, 0.5),
@@ -504,6 +537,18 @@ def test_release_evolve_run(tmp_path, capsys):
     assert "edge-density: PASS" in out
     lines = (tmp_path / "release_evolve.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x,psi_re,psi_im,density"
+
+
+@pytest.mark.parametrize("half_width", ["0.7", "1.1", "3.3"])
+def test_release_evolve_energy_check_reads_the_snapshot_box(tmp_path, capsys, half_width):
+    # At these widths x[1] - x[0] rounds away from the grid step, so a box
+    # rebuilt from the snapshot's x is another grid than the snapshot's own.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units = custom\n[well]\nhalf_width = {half_width}\n", encoding="utf-8")
+    assert run_in(tmp_path / "out", "release", "evolve", "--config", str(cfg)) == 0
+    out = capsys.readouterr().out
+    residual = re.search(r"energy-conservation: PASS \(residual=(\S+)\)", out).group(1)
+    assert float(residual) < 1e-13
 
 
 def test_release_evolve_needs_full_box(tmp_path, capsys):

@@ -44,19 +44,18 @@ def test_ladder_momenta(spec):
     assert np.all(np.diff(momenta) > 0)
 
 
-def test_ladder_index_pair_form(spec):
-    phase = ExtensionPhase(theta=0.0)
-    ks, momenta = allowed_momenta(spec, phase, (2, 5))
-    np.testing.assert_array_equal(ks, [2, 3, 4, 5])
-    assert momenta[0] == pytest.approx(2.0 * np.pi, rel=1e-15)
-
-
 def test_ladder_bad_ranges(spec):
     phase = ExtensionPhase(theta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max"):
         allowed_momenta(spec, phase, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max"):
         allowed_momenta(spec, phase, (4, 2))
+
+
+def test_ladder_takes_one_bound_not_a_pair(spec):
+    # The ladder is always -k_max..k_max; a (k_min, k_max) pair is no bound.
+    with pytest.raises(ValueError, match=r"k_max must be an integer, got \(2, 5\)"):
+        allowed_momenta(spec, ExtensionPhase(theta=0.0), (2, 5))
 
 
 @pytest.mark.parametrize("n, theta", [(1, np.pi), (2, 0.0), (3, np.pi), (8, 0.0)])
@@ -249,7 +248,6 @@ def test_window_mass_frozen(spec, n, mass):
     report = convergence_report(spec, n)
     assert report.mass_in_window == pytest.approx(mass, abs=1e-11)
     assert report.defect == pytest.approx(1.0 - mass, abs=1e-11)
-    assert report.spike_weight == 1.0
 
 
 def test_window_default_half_width(spec):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from argparse import Namespace
 from decimal import Decimal
 from fractions import Fraction
@@ -18,7 +19,7 @@ from boxmode.cli import (
     cmd_momentum_compare,
     cmd_momentum_continuous,
 )
-from boxmode.report import CSV_CHUNK_ROWS, all_passed, format_value
+from boxmode.report import _FLOAT_CHUNK_CELLS, all_passed, format_value
 
 
 def test_format_int_stays_plain():
@@ -184,6 +185,9 @@ def test_write_csv_rejects_separators_in_header(tmp_path, rows, header):
     assert not path.exists()
 
 
+_INTEGER_DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")
+
+
 @pytest.mark.parametrize(
     "rows, error",
     [
@@ -191,15 +195,17 @@ def test_write_csv_rejects_separators_in_header(tmp_path, rows, header):
         (np.ones((3, 2), dtype=complex), TypeError),
         (np.array([["x", "y"]]), TypeError),
         (np.array([[1.0, None]], dtype=object), TypeError),
+        *((np.ones((3, 2), dtype=dtype), TypeError) for dtype in _INTEGER_DTYPES),
         (np.ones(2), ValueError),
         (np.ones((1, 2, 1)), ValueError),
         (np.ones((3, 3)), ValueError),
     ],
-    ids=["bool", "complex", "string", "object", "1-d", "3-d", "wrong-width"],
+    ids=["bool", "complex", "string", "object", *_INTEGER_DTYPES, "1-d", "3-d", "wrong-width"],
 )
 def test_write_csv_rejects_unwritable_arrays(tmp_path, rows, error):
     path = tmp_path / "bad.csv"
-    with pytest.raises(error):
+    # A TypeError names the dtype; integer tables go as row tuples.
+    with pytest.raises(error, match=re.escape(str(rows.dtype)) if error is TypeError else None):
         write_csv(path, ("a", "b"), rows)
     assert not path.exists()
 
@@ -209,7 +215,6 @@ _SPECIAL = {
                 2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 9.5, 0.125],
     "float32": [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1.2e-40, 1.17549435e-38,
                 3.4028235e38, 0.5, 9.5],
-    "int64": [0, -1, 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
 }
 
 
@@ -217,12 +222,8 @@ def _table(dtype: str, n_rows: int, width: int, seed: int) -> np.ndarray:
     """Random cells of every magnitude the dtype holds, salted with its edge values."""
     rng = np.random.default_rng(seed)
     size = n_rows * width
-    if dtype == "int64":
-        info = np.iinfo(np.int64)
-        cells = rng.integers(info.min, info.max, size, endpoint=True)
-    else:
-        lo, hi = (-320, 300) if dtype == "float64" else (-45, 37)
-        cells = (rng.standard_normal(size) * 10.0 ** rng.integers(lo, hi, size)).astype(dtype)
+    lo, hi = (-320, 300) if dtype == "float64" else (-45, 37)
+    cells = (rng.standard_normal(size) * 10.0 ** rng.integers(lo, hi, size)).astype(dtype)
     special = np.array(_SPECIAL[dtype], dtype=dtype)
     salt = rng.random(size) < 0.2
     cells[salt] = rng.choice(special, int(salt.sum()))
@@ -258,11 +259,12 @@ def test_array_rows_match_tuple_rows(
     # A small chunk puts every boundary case (0, 1, chunk - 1, chunk,
     # chunk + 1 rows, several chunks) within reach of cheap examples.
     n_rows = small_rows if rows_past_chunk is None else chunk + rows_past_chunk
-    with mock.patch.object(report, "CSV_CHUNK_ROWS", chunk):
+    with mock.patch.object(report, "_FLOAT_CHUNK_CELLS", chunk * width):
         _assert_forms_agree(tmp_path, _table(dtype, n_rows, width, seed), digits)
 
 
-@pytest.mark.parametrize("n_rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1])
+# Two columns: a chunk holds _FLOAT_CHUNK_CELLS // 2 rows.
+@pytest.mark.parametrize("n_rows", [_FLOAT_CHUNK_CELLS // 2 - 1, _FLOAT_CHUNK_CELLS // 2 + 1])
 @pytest.mark.parametrize("dtype", sorted(_SPECIAL))
 def test_array_rows_match_tuple_rows_at_chunk_size(tmp_path, dtype, n_rows):
     _assert_forms_agree(tmp_path, _table(dtype, n_rows, 2, seed=n_rows), digits=12)

@@ -97,11 +97,6 @@ def test_trigonometry_only_inside_the_walls(spec, n):
     assert np.array_equal(values[inside], expected)
 
 
-def test_eigenfunction_energy_property(spec):
-    psi = Eigenfunction(spec, 4)
-    assert psi.energy == pytest.approx(spec.energy(4), rel=1e-15)
-
-
 def test_scalar_evaluation_returns_float(spec):
     psi = Eigenfunction(spec, 2)
     value = psi(0.25)

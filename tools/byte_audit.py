@@ -38,7 +38,13 @@ The ops:
   limits: ``momentum continuous --p-max 2`` (``trapezoid-normalization``
   fails), ``momentum compare --window`` 100 (mass 0.9999995) and 1e-300 (a
   window that vanishes beside the spike), and ``landau checks --field``
-  0.05 and 20.
+  0.05 and 20;
+* requests past the Landau probe budget: ``landau state --level 20000``,
+  whose ridge must be rejected before its default grid is built, and
+  ``landau state --gauge symmetric --angular`` 10**20, whose default ring
+  grid must be rejected before it is allocated;
+* ``release evolve`` with half width 0.7, whose ``energy-conservation``
+  reference must share the snapshot's box.
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -80,6 +86,7 @@ hbar = 1.3
         "charge = -2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n"
     ),
     "overridden": "digits = 4\nout = elsewhere\n",
+    "narrow": "units = custom\n[well]\nhalf_width = 0.7\n",
     "misspelled-key": "units = custom\n[well]\nhbr = 0.7\n",
     "unknown-section": "units = custom\n[wel]\nhbar = 0.7\n",
     "natural-units": "[well]\nhbar = 0.7\n",
@@ -130,6 +137,11 @@ VERDICT_OPS = (
     ("landau", "checks", "--field", "20"),
 )
 
+BUDGET_OPS = (
+    ("landau", "state", "--level", "20000"),
+    ("landau", "state", "--gauge", "symmetric", "--angular", str(10**20)),
+)
+
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
 MALFORMED = ("misspelled-key", "unknown-section", "natural-units", "misplaced-key")
@@ -140,6 +152,7 @@ CONFIG_OPS = (
     ("readme", WELL_LEAVES, ()),
     ("landau", LANDAU_LEAVES, ()),
     ("overridden", (("well", "energies"), ("landau", "hall")), ("--digits", "7")),
+    ("narrow", (("release", "evolve"),), ()),
     *((name, (("well", "energies"),), ()) for name in MALFORMED),
 )
 
@@ -151,7 +164,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS)]
+    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]

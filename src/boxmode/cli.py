@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .momentum_discrete import (
     expand,
     matched_phase,
 )
-from .quadrature import _index, _positive
+from .quadrature import _check_budget, _index
 from .release import (
     EDGE_DENSITY_LIMIT,
     evolve_free,
@@ -65,12 +65,6 @@ from .well import Eigenfunction, WellSpec
 
 class ConfigError(ValueError):
     """The configuration file or flag set cannot be used."""
-
-
-def _units(value) -> str:
-    if value not in ("natural", "custom"):
-        raise ValueError(f"must be 'natural' or 'custom', got {value!r}")
-    return value
 
 
 def _digits(value) -> int:
@@ -89,7 +83,7 @@ def _schema() -> dict[str, dict]:
     """The config format: section -> key -> parser of the value text; the
     unit sections take the spec fields, so their defaults are the specs'."""
     return {
-        "global": {"units": _units, "digits": _digits, "out": Path},
+        "global": {"digits": _digits, "out": Path},
         "well": {f.name: float for f in fields(WellSpec)},
         "landau": {f.name: float for f in fields(LandauSpec) if f.name not in _LANDAU_FLAGS},
     }
@@ -104,30 +98,30 @@ def _parsed(parse, value, where: str):
 
 @dataclass
 class RunConfig:
-    """Resolved run settings, each field checked by its ``global`` parser."""
+    """Resolved run settings, each field checked by its ``global`` parser;
+    ``units`` is set once the config file is read (``_resolve_config``)."""
 
-    units: str = "natural"
     digits: int = 12
     out: Path = Path(".")
+    units: str = field(default="natural", init=False)
 
     def __post_init__(self):
         for key, parse in _schema()["global"].items():
             setattr(self, key, _parsed(parse, getattr(self, key), key))
 
 
-def parse_config(text: str, units: str | None = None) -> dict[str, dict]:
+def parse_config(text: str) -> dict[str, dict]:
     """Parse the flat ``key = value`` format with ``[section]`` headers into
     section -> key -> parsed value, checking each line against ``_schema()``.
 
     Lines starting with ``#`` and blank lines are skipped; keys before any
     header land in the ``global`` section. An unknown section, an unknown or
     repeated key and a value its parser rejects raise ``ConfigError`` naming
-    the line; so does a unit section's key when the run's units (``units``,
-    a flag, over the file's) are natural.
+    the line.
     """
     schema = _schema()
     values = {section: {} for section in schema}
-    section, first_unit_key = "global", None
+    section = "global"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,10 +138,6 @@ def parse_config(text: str, units: str | None = None) -> dict[str, dict]:
         if key in values[section]:
             raise ConfigError(f"{where} is given twice")
         values[section][key] = _parsed(schema[section][key], value, where)
-        if section != "global":
-            first_unit_key = first_unit_key or where
-    if first_unit_key and (units or values["global"].get("units", RunConfig.units)) == "natural":
-        raise ConfigError(f"{first_unit_key} needs units = custom; the run's units are natural")
     return values
 
 
@@ -195,6 +185,7 @@ def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
 def cmd_well_eigenfunction(args, spec: WellSpec, rc: RunConfig):
     if args.samples < 9 or args.samples % 2 == 0:
         raise ConfigError(f"--samples must be an odd integer >= 9, got {args.samples}")
+    _check_budget(args.samples)
     psi = Eigenfunction(spec, args.n)
     x = np.linspace(-spec.half_width, spec.half_width, args.samples)
     values = psi(x)
@@ -231,8 +222,9 @@ def cmd_momentum_continuous(args, spec: WellSpec, rc: RunConfig):
 
 
 def cmd_momentum_discrete(args, spec: WellSpec, rc: RunConfig):
-    _index(args.k_max, "--k-max", 1)
     phase = matched_phase(args.n)
+    # Level n's spikes sit at ladder index +-n/2 (even n), -(n+1)/2 and (n-1)/2 (odd n).
+    _index(args.k_max, "--k-max", (args.n + 1) // 2)
     decomposition = expand(spec, Eigenfunction(spec, args.n), phase, args.k_max)
     spike = np.isin(decomposition.indices, eigenstate_spectrum(spec, args.n).indices)
     weights = decomposition.weights
@@ -289,8 +281,7 @@ def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
 
 
 def cmd_release_farfield(args, spec: WellSpec, rc: RunConfig):
-    probe = 6.0 * spec.spike_momentum(args.n) if args.probe_max is None else args.probe_max
-    _positive(probe, "--probe-max")
+    probe = 6.0 * spec.spike_momentum(args.n)
     p = np.linspace(-probe, probe, 2001)
     density = farfield_map(spec, args.n, args.t, p)
     deviation = float(np.abs(density - analytic_density(spec, args.n, p)).max())
@@ -393,9 +384,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, default=None, help="config file path")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--digits", type=int, default=None, help="CSV/report precision")
-    parser.add_argument(
-        "--units", choices=("natural", "custom"), default=None, help="unit system"
-    )
 
 
 def _leaf(commands, name: str, handler, help_text: str) -> argparse.ArgumentParser:
@@ -435,15 +423,14 @@ def _release_leaves(commands):
     p = _leaf(commands, "farfield", cmd_release_farfield, "ballistic momentum map")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", type=_finite, default=50.0)
-    p.add_argument("--probe-max", type=_finite, default=None)
 
 
 def _landau_leaves(commands):
     def landau_leaf(name, handler, help_text):
         sub = _leaf(commands, name, handler, help_text)
-        sub.add_argument("--field", type=_finite, default=1.0)
-        sub.add_argument("--edge-x", type=_finite, default=10.0)
-        sub.add_argument("--edge-y", type=_finite, default=10.0)
+        sub.add_argument("--field", type=_finite, default=None)
+        sub.add_argument("--edge-x", type=_finite, default=None)
+        sub.add_argument("--edge-y", type=_finite, default=None)
         return sub
 
     p = landau_leaf("state", cmd_landau_state, "sampled level state")
@@ -497,13 +484,14 @@ def _resolve_config(args) -> tuple[RunConfig, WellSpec | LandauSpec]:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    values = parse_config(text, units=args.units)
+    values = parse_config(text)
     given = {key: getattr(args, key) for key in _schema()["global"]}
     rc = RunConfig(**{**values["global"], **{k: v for k, v in given.items() if v is not None}})
+    rc.units = "custom" if values["well"] or values["landau"] else "natural"
     if args.group != "landau":
         return rc, WellSpec(**values["well"])
     flags = {name: getattr(args, dest) for name, dest in _LANDAU_FLAGS.items()}
-    return rc, LandauSpec(**values["landau"], **flags)
+    return rc, LandauSpec(**values["landau"], **{k: v for k, v in flags.items() if v is not None})
 
 
 def run(argv=None) -> int:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import ResolutionError, _finite, _index, _positive, _text
+from .quadrature import ResolutionError, _check_budget, _finite, _index, _positive, _text
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,24 @@ def landau_gauge_state(
     """Level-n eigenstate in the landau gauge: plane wave times a ridge.
 
     The state e^{i p_x x / hbar} times the n-th Hermite function in y,
-    centered on the guiding line y = -c p_x / (charge B). Warns when that
-    line lies outside [0, Ly], where the default grid cannot hold the ridge.
-    The grid defaults to [0, Lx] x [0, Ly] at step magnetic_length/8; pass
-    a custom (x, y) pair to study the state on its own support. A non-finite
-    p_x raises ``ValueError``.
+    centered on the guiding line y = -c p_x / (charge B). The default grid,
+    [0, Lx] x [0, Ly] at step magnetic_length/8, raises ``ResolutionError``
+    past ``SAMPLE_BUDGET`` points (counted as floats) before allocating, and
+    warns when the line lies outside [0, Ly]; pass a custom (x, y) pair to
+    study the state on its own support. A non-finite p_x raises ``ValueError``.
     """
     n = _level(n, "level")
     length = spec.magnetic_length
     y_guide = spec.guiding_line(p_x)
-    if not 0.0 <= y_guide <= spec.Ly:
-        warnings.warn(
-            f"guiding line y = {y_guide:.6g} lies outside [0, {spec.Ly}]; "
-            "the default rectangle does not contain this state",
-            stacklevel=2,
-        )
     if grid is None:
         step = length / 8.0
+        _check_budget((np.ceil(spec.Lx / step) + 1.0) * (np.ceil(spec.Ly / step) + 1.0))
+        if not 0.0 <= y_guide <= spec.Ly:
+            warnings.warn(
+                f"guiding line y = {y_guide:.6g} lies outside [0, {spec.Ly}]; "
+                "the default rectangle does not contain this state",
+                stacklevel=2,
+            )
         grid = (_axis(0.0, spec.Lx, step), _axis(0.0, spec.Ly, step))
     x, y = grid
     X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")

@@ -13,7 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSettings, _finite, _index, _positive, bandwidth_order
+from .quadrature import (
+    QuadratureSettings,
+    _check_budget,
+    _finite,
+    _index,
+    _positive,
+    bandwidth_order,
+)
 from .well import Eigenfunction, WellSpec
 
 
@@ -21,7 +28,7 @@ from .well import Eigenfunction, WellSpec
 class MomentumGrid:
     """Uniform, symmetric momentum grid with an odd number of points.
 
-    Odd counts guarantee p = 0 and the exact endpoints ±p_max are sampled.
+    Odd counts sample p = 0 and ±p_max exactly; counts past ``SAMPLE_BUDGET`` raise.
     """
 
     p_max: float
@@ -31,6 +38,7 @@ class MomentumGrid:
         _positive(self.p_max, "p_max")
         if _index(self.count, "count", 3) % 2 == 0:
             raise ValueError(f"count must be an odd integer >= 3, got {self.count}")
+        _check_budget(self.count)
 
     @property
     def points(self) -> np.ndarray:

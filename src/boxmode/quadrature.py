@@ -19,6 +19,10 @@ import numpy as np
 # at 2048 nodes and ~0.5 s at 4096, and raises the peak RSS by under 1 MiB.
 NODE_BUDGET = 2048
 
+# Largest grid a state, momentum window or rectangle is sampled on, the far-field
+# grid this package once ran: evolve_free's ~96 bytes per sample come to 1.6 GB.
+SAMPLE_BUDGET = 2**24
+
 
 class ResolutionError(ValueError):
     """An input lies beyond what a method resolves within its stated budget."""
@@ -48,6 +52,14 @@ def _positive(value, name: str):
     """Raise ``ValueError`` naming ``name`` unless 0 < ``value`` < inf."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {_text(value)}")
+
+
+def _check_budget(samples):
+    """Raise ``ResolutionError`` unless ``samples``, an int or a float (inf and
+    nan fail), is at most ``SAMPLE_BUDGET``; an int past the floats is named whole."""
+    if not samples <= SAMPLE_BUDGET:
+        count = _text(samples) if isinstance(samples, int) and samples > 1e300 else f"{samples:.6g}"
+        raise ResolutionError(f"a {count}-sample grid exceeds the budget {SAMPLE_BUDGET}")
 
 
 def _finite(value, name: str):

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .momentum_continuous import _box_transform
-from .quadrature import ResolutionError, _finite, _index, _positive
+from .quadrature import ResolutionError, _check_budget, _finite, _index, _positive
 from .well import Eigenfunction, WellSpec
 
 
@@ -29,16 +29,6 @@ class AliasingError(ResolutionError):
 # Edge density tolerated, per unit 1/half_width. The AliasingError gate, the
 # CLI's edge-density CHECK and suggested_box's target (1/8 of it) all read it.
 EDGE_DENSITY_LIMIT = 1e-10
-
-# Largest grid evolve_free builds, the size of the far-field grid this package
-# once ran: its ~96 bytes of full-length arrays per sample come to 1.6 GB.
-SAMPLE_BUDGET = 2**24
-
-
-def _check_budget(samples: float):
-    if not samples <= SAMPLE_BUDGET:
-        raise ResolutionError(f"a {samples:.6g}-sample grid exceeds the budget {SAMPLE_BUDGET}")
-
 
 @dataclass(frozen=True)
 class EvolutionSnapshot:

@@ -38,13 +38,13 @@ def run_in(tmp_path, *argv):
 def test_parse_config_sections():
     text = """
     # a comment
-    units = custom
+    digits = 8
     [well]
     half_width = 2.0
     mass = 0.5
     """
     sections = parse_config(text)
-    assert sections["global"] == {"units": "custom"}
+    assert sections["global"] == {"digits": 8}
     assert sections["well"] == {"half_width": 2.0, "mass": 0.5}
     assert sections["landau"] == {}
 
@@ -55,7 +55,7 @@ def test_parse_config_rejects_malformed_lines(text):
         parse_config(text)
 
 
-@pytest.mark.parametrize("kwargs", [{"units": "si"}, {"digits": 0}, {"digits": 18}])
+@pytest.mark.parametrize("kwargs", [{"digits": 0}, {"digits": 18}])
 def test_run_config_validation(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
@@ -124,6 +124,15 @@ def test_momentum_compare_writes_sidecar(tmp_path):
         ),
         # A guiding line mid-patch: the ridge's plane wave turns at 5 / l along x.
         (("landau", "state", "--p-x", "5"), "landau_state.csv", "x,y,psi_re,psi_im,density"),
+        # The shortest ladders that reach the spikes: +-2 at n = 4, -3 and 2 at n = 5.
+        *(
+            (
+                ("momentum", "discrete", "--n", n, "--k-max", k),
+                "momentum_discrete.csv",
+                "k,momentum,weight",
+            )
+            for n, k in (("4", "2"), ("5", "3"))
+        ),
     ],
 )
 def test_leaf_runs_with_every_check_passing(tmp_path, capsys, argv, csv_name, header):
@@ -167,7 +176,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("momentum", "discrete", "--k-max", "0"),
         ("landau", "state", "--level", "-2"),
         ("release", "farfield", "--t", "0"),
-        ("release", "farfield", "--probe-max", "0"),
+        # A deleted option: the far field always probes six spike momenta.
+        ("release", "farfield", "--probe-max", "3"),
         ("nonsense",),
         ("well", "nonsense"),
         ("landau", "state", "--level", "5000"),
@@ -189,6 +199,8 @@ def test_failed_check_returns_one(tmp_path, capsys):
         ("landau", "hall", "--voltage", "inf"),
         # The grid edge aliases: an AliasingError, one of the ResolutionErrors.
         ("release", "evolve", "--box-length", "16", "--samples", "2048", "--t", "5"),
+        # A deleted option: a unit section applies whenever the config file has one.
+        ("well", "energies", "--units", "custom"),
     ],
 )
 def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
@@ -225,6 +237,35 @@ def test_release_evolve_past_sample_budget(tmp_path, capsys):
     assert "budget 16777216" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Once a 58.2 TiB, 745 GiB and 745 GiB allocation error (exit 1).
+        ("landau", "state", "--edge-x", "1e12"),
+        ("well", "eigenfunction", "--samples", "100000000001"),
+        ("momentum", "continuous", "--count", "100000000001"),
+        # Past the float range: named whole, not an OverflowError.
+        ("well", "eigenfunction", "--samples", str(10**400 + 1)),
+    ],
+)
+def test_grids_past_sample_budget_exit_two_before_allocating(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code = run_in(tmp_path / "sub", *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "exceeds the budget 16777216" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n, k_max", [(3, 1), (4, 1), (5, 2), (6, 2)])
+def test_k_max_below_the_spikes_exits_two(tmp_path, capsys, n, k_max):
+    argv = ("momentum", "discrete", "--n", str(n), "--k-max", str(k_max))
+    assert run_in(tmp_path / "sub", *argv) == 2
+    assert f"--k-max must be at least {(n + 1) // 2}, got {k_max}" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
 
 
 def test_probe_step_follows_level_and_ring_index():
@@ -317,13 +358,23 @@ def test_probe_past_budget_raises():
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
-@pytest.mark.parametrize("command", ["state", "checks"])
-def test_positive_charge_default_probe_stays_in_the_rectangle(tmp_path, capsys, command):
+def test_positive_charge_default_probe_stays_in_the_rectangle(tmp_path, capsys):
     # A guiding line outside [0, Ly] warns; the default p_x puts it at l/2.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("units = custom\n[landau]\ncharge = 1.0\n", encoding="utf-8")
-    assert run_in(tmp_path / "out", "landau", command, "--config", str(cfg)) == 0
+    cfg.write_text("[landau]\ncharge = 1.0\n", encoding="utf-8")
+    assert run_in(tmp_path / "out", "landau", "state", "--config", str(cfg)) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_guiding_line_outside_the_rectangle_warns_once(tmp_path, capsys):
+    # The default rectangle misses the ridge at y = 20; the probe's grid holds it.
+    with pytest.warns(UserWarning) as caught:
+        assert run_in(tmp_path, "landau", "state", "--p-x", "20") == 0
+    capsys.readouterr()
+    assert [str(w.message) for w in caught] == [
+        "guiding line y = 20 lies outside [0, 10.0]; "
+        "the default rectangle does not contain this state"
+    ]
 
 
 def test_help_exits_cleanly(capsys):
@@ -395,14 +446,12 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_custom_units_from_config(tmp_path, capsys):
+    # A unit-section key applies as given; the report names the units custom.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "units = custom\ndigits = 8\n[well]\nhalf_width = 2.0\nmass = 0.5\n",
-        encoding="utf-8",
-    )
+    cfg.write_text("digits = 8\n[well]\nhalf_width = 2.0\nmass = 0.5\n", encoding="utf-8")
     code = run_in(tmp_path, "well", "energies", "--n-max", "2", "--config", str(cfg))
     assert code == 0
-    capsys.readouterr()
+    assert f"config: units=custom digits=8 out={tmp_path}\n" in capsys.readouterr().out
     lines = (tmp_path / "well_energies.csv").read_text(encoding="utf-8").splitlines()
     # Wider, lighter well: pi^2/16 and pi^2/4 at eight digits.
     assert lines[1] == f"1,{np.pi**2 / 16.0:.8e}"
@@ -411,7 +460,7 @@ def test_custom_units_from_config(tmp_path, capsys):
 
 def test_non_finite_config_unit_returns_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("units = custom\n[well]\nhalf_width = inf\n", encoding="utf-8")
+    cfg.write_text("[well]\nhalf_width = inf\n", encoding="utf-8")
     code = run_in(tmp_path / "sub", "well", "energies", "--config", str(cfg))
     assert code == 2
     assert "half_width must be positive and finite" in capsys.readouterr().err
@@ -419,46 +468,42 @@ def test_non_finite_config_unit_returns_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, flags, message",
+    "text, message",
     [
         pytest.param(
-            "units = custom\n[well]\nhbr = 0.7\n", (),
-            "line 3: key 'hbr' in [well] is unknown", id="misspelled-key",
+            "[well]\nhbr = 0.7\n",
+            "line 2: key 'hbr' in [well] is unknown", id="misspelled-key",
         ),
         pytest.param(
-            "units = custom\n[well]\ndigits = 9\n", (),
-            "line 3: key 'digits' in [well] is unknown", id="key-in-wrong-section",
+            "[well]\ndigits = 9\n",
+            "line 2: key 'digits' in [well] is unknown", id="key-in-wrong-section",
         ),
         pytest.param(
-            "units = custom\n[landau]\nB = 2.0\n", (),
-            "line 3: key 'B' in [landau] is unknown", id="flag-only-field",
+            "[landau]\nB = 2.0\n",
+            "line 2: key 'B' in [landau] is unknown", id="flag-only-field",
         ),
         pytest.param(
-            "units = custom\n[wel]\nhbar = 0.7\n", (),
-            "line 2: unknown section [wel]", id="unknown-section",
+            "[wel]\nhbar = 0.7\n",
+            "line 1: unknown section [wel]", id="unknown-section",
         ),
         pytest.param(
-            "units = custom\n[well]\nhbar = 0.7\nmass = 2.0\n\nhbar = 0.8\n", (),
-            "line 6: key 'hbar' in [well] is given twice", id="repeated-key",
+            "[well]\nhbar = 0.7\nmass = 2.0\n\nhbar = 0.8\n",
+            "line 5: key 'hbar' in [well] is given twice", id="repeated-key",
         ),
         pytest.param(
-            "units = custom\n[landau]\ncharge = minus one\n", (),
-            "line 3: key 'charge' in [landau]: could not convert", id="bad-value-unused-section",
+            "[landau]\ncharge = minus one\n",
+            "line 2: key 'charge' in [landau]: could not convert", id="bad-value-unused-section",
         ),
         pytest.param(
-            "# natural by default\n[well]\nhbar = 0.7\n", (),
-            "line 3: key 'hbar' in [well] needs units = custom", id="natural-from-file",
-        ),
-        pytest.param(
-            "units = custom\n[well]\nhbar = 0.7\n", ("--units", "natural"),
-            "line 3: key 'hbar' in [well] needs units = custom", id="natural-from-flag",
+            "units = custom\n[well]\nhbar = 0.7\n",
+            "line 1: key 'units' in [global] is unknown; known: digits, out", id="units-key",
         ),
     ],
 )
-def test_malformed_config_exits_two_naming_line_and_key(tmp_path, capsys, text, flags, message):
+def test_malformed_config_exits_two_naming_line_and_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
-    code = run_in(tmp_path / "sub", "well", "energies", "--config", str(cfg), *flags)
+    code = run_in(tmp_path / "sub", "well", "energies", "--config", str(cfg))
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -469,7 +514,7 @@ def test_malformed_config_exits_two_naming_line_and_key(tmp_path, capsys, text, 
 def test_landau_units_from_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "units = custom\n[landau]\ncharge = 2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n",
+        "[landau]\ncharge = 2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n",
         encoding="utf-8",
     )
     assert run_in(tmp_path, "landau", "hall", "--config", str(cfg)) == 0
@@ -479,19 +524,6 @@ def test_landau_units_from_config(tmp_path, capsys):
     assert float(table["conductance_quantum"]) == pytest.approx(4.0 / (2.0 * np.pi * 1.3))
     # charge * light_speed * voltage / flux over the flag-set 10 x 10 rectangle
     assert float(table["per_electron_current"]) == pytest.approx(0.06)
-
-
-def test_units_flag_enables_config_sections(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[global]\ndigits = 8\n[well]\nhalf_width = 2.0\n", encoding="utf-8")
-    code = run_in(
-        tmp_path, "well", "energies", "--n-max", "1",
-        "--config", str(cfg), "--units", "custom",
-    )
-    assert code == 0
-    assert "config: units=custom digits=8" in capsys.readouterr().out
-    lines = (tmp_path / "well_energies.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[1] == f"1,{np.pi**2 / 32.0:.8e}"
 
 
 def test_closed_stdout_exits_without_traceback(tmp_path):
@@ -544,7 +576,7 @@ def test_release_evolve_energy_check_reads_the_snapshot_box(tmp_path, capsys, ha
     # At these widths x[1] - x[0] rounds away from the grid step, so a box
     # rebuilt from the snapshot's x is another grid than the snapshot's own.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"units = custom\n[well]\nhalf_width = {half_width}\n", encoding="utf-8")
+    cfg.write_text(f"[well]\nhalf_width = {half_width}\n", encoding="utf-8")
     assert run_in(tmp_path / "out", "release", "evolve", "--config", str(cfg)) == 0
     out = capsys.readouterr().out
     residual = re.search(r"energy-conservation: PASS \(residual=(\S+)\)", out).group(1)

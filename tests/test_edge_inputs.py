@@ -45,7 +45,6 @@ from boxmode import (
 from boxmode.cli import (
     RunConfig,
     cmd_momentum_discrete,
-    cmd_release_farfield,
     cmd_well_energies,
 )
 from boxmode.landau import ridge_residual, ring_residual
@@ -107,11 +106,6 @@ POSITIVE_RULES = [
         "convergence_report",
         lambda v: convergence_report(WELL, 1, window_half_width=v),
         "window_half_width",
-    ),
-    (
-        "release farfield",
-        lambda v: cmd_release_farfield(Namespace(n=1, t=50.0, probe_max=v), WELL, RC),
-        "--probe-max",
     ),
     ("box length", lambda v: evolve_free(WELL, 1, 0.0, box=(v, 4096)), "box length"),
 ]

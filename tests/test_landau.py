@@ -66,6 +66,9 @@ def test_probe_momentum_puts_the_guiding_line_at_half_a_length(charge):
     assert spec.guiding_line(spec.probe_momentum) == pytest.approx(
         0.5 * spec.magnetic_length, rel=1e-15
     )
+    # So the default rectangle holds the ridge at either sign of charge.
+    natural = LandauSpec(charge=np.sign(charge))
+    assert 0.0 <= natural.guiding_line(natural.probe_momentum) <= natural.Ly
     if charge < 0:
         # Bitwise the momentum the CLI used before it knew the charge's sign.
         assert spec.probe_momentum == 0.5 * spec.hbar / spec.magnetic_length
@@ -257,9 +260,28 @@ def test_tiny_grid_rejected(landau):
 
 def test_guiding_line_outside_rectangle_warns(landau):
     with pytest.warns(UserWarning, match="outside"):
-        landau_gauge_state(landau, 0, -1.0, grid=ridge_grid(landau, -1.0))
+        landau_gauge_state(landau, 0, -1.0)
     with pytest.warns(UserWarning, match="outside"):
-        landau_gauge_state(landau, 0, 10.7, grid=ridge_grid(landau, 10.7))
+        landau_gauge_state(landau, 0, 10.7)
+
+
+@pytest.mark.parametrize("edges", [(10.0, 10.0), (3.3, 7.1), (0.5, 2.0)])
+def test_default_rectangle_budget_counts_its_points(monkeypatch, edges):
+    # The float count checked before allocating is the built grid's, exactly.
+    spec = LandauSpec(Lx=edges[0], Ly=edges[1])
+    points = landau_gauge_state(spec, 0, spec.probe_momentum).values.size
+    monkeypatch.setattr("boxmode.quadrature.SAMPLE_BUDGET", points)
+    assert landau_gauge_state(spec, 0, spec.probe_momentum).values.size == points
+    monkeypatch.setattr("boxmode.quadrature.SAMPLE_BUDGET", points - 1)
+    with pytest.raises(ResolutionError, match=f"a {points}-sample grid exceeds"):
+        landau_gauge_state(spec, 0, spec.probe_momentum)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_ridge_on_its_own_grid_never_warns(landau):
+    # A grid centred on the guiding line holds the ridge wherever the line lies.
+    for p_x in (-1.0, 10.7, 20.0):
+        landau_gauge_state(landau, 0, p_x, grid=ridge_grid(landau, p_x))
 
 
 def test_commutator_closes_in_both_gauges(landau):

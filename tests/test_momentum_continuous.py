@@ -191,6 +191,8 @@ def test_uncertainty_exceeds_lower_bound(n):
         {"p_max": -3.0, "count": 101},
         {"p_max": 1.0, "count": 100},
         {"p_max": 1.0, "count": 1},
+        # Past SAMPLE_BUDGET: a ResolutionError, one of the ValueErrors.
+        {"p_max": 1.0, "count": 2**24 + 1},
     ],
 )
 def test_invalid_grid_rejected(kwargs):

@@ -18,7 +18,8 @@ The ops:
 * ``momentum continuous --count`` 3, 15, 17 and 121 at ``--n`` 1 and 20, and
   ``momentum discrete --k-max`` 1, 7 and 60: momenta and ladders at the edges
   of the box transforms' product steps (15 rows at n = 1's 256 nodes, 10 at
-  n = 20's 374) and 120-row blocks;
+  n = 20's 374) and 120-row blocks; and ``momentum discrete --n 5 --k-max 1``,
+  a ladder short of level 5's spikes at -3 and 2 (exit 2);
 * ``momentum continuous --p-max`` 435, 3944 and 3945 and ``momentum
   discrete --k-max 1255``: the first Gauss-Legendre order above the shipped
   256 (257 nodes), exactly ``NODE_BUDGET`` (2048 nodes, by both transforms)
@@ -26,14 +27,15 @@ The ops:
 * four custom-units runs at 9 digits (``release evolve``, ``momentum
   continuous``, ``landau state``, ``well eigenfunction``), with half width
   2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
-  hbar 1.3 for the Landau system;
+  hbar 1.3 for the Landau system; a unit section applies whenever the file
+  has one, so no config carries a ``units`` line;
 * the README's example config on every ``well``, ``momentum`` and
   ``release`` leaf, and a ``[landau]`` config setting charge, mass,
   light_speed and hbar on every ``landau`` leaf;
 * a config whose ``digits`` and ``out`` the flags override;
 * four malformed configs on ``well energies``: a misspelled key, an
-  unknown section, a unit section without ``units = custom`` and a global
-  key inside ``[well]``;
+  unknown section, a ``units = custom`` line (an unknown global key) and a
+  global key inside ``[well]``;
 * ops that take the interval-limited checks away from the middle of their
   limits: ``momentum continuous --p-max 2`` (``trapezoid-normalization``
   fails), ``momentum compare --window`` 100 (mass 0.9999995) and 1e-300 (a
@@ -42,7 +44,12 @@ The ops:
 * requests past the Landau probe budget: ``landau state --level 20000``,
   whose ridge must be rejected before its default grid is built, and
   ``landau state --gauge symmetric --angular`` 10**20, whose default ring
-  grid must be rejected before it is allocated;
+  grid must be rejected before it is allocated; and grids past the 2**24
+  sample budget, each rejected before it is allocated: ``landau state
+  --edge-x 1e12``, and ``well eigenfunction --samples`` and ``momentum
+  continuous --count`` at 100000000001;
+* ``landau state --p-x 20``, whose guiding line lies outside the default
+  rectangle: one warning, from the state's default grid;
 * ``release evolve`` with half width 0.7, whose ``energy-conservation``
   reference must share the snapshot's box.
 
@@ -67,7 +74,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # Config file name -> text; ``audit_ops`` refers to them by name.
 CONFIGS = {
     "custom": """\
-units = custom
 digits = 9
 
 [well]
@@ -80,17 +86,17 @@ charge = 2.0
 mass = 0.5
 hbar = 1.3
 """,
-    "readme": "units = custom\ndigits = 8\n\n[well]\nhalf_width = 2.0\nmass = 0.5\n",
+    "readme": "digits = 8\n\n[well]\nhalf_width = 2.0\nmass = 0.5\n",
     "landau": (
-        "units = custom\ndigits = 10\n\n[landau]\n"
+        "digits = 10\n\n[landau]\n"
         "charge = -2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n"
     ),
     "overridden": "digits = 4\nout = elsewhere\n",
-    "narrow": "units = custom\n[well]\nhalf_width = 0.7\n",
-    "misspelled-key": "units = custom\n[well]\nhbr = 0.7\n",
-    "unknown-section": "units = custom\n[wel]\nhbar = 0.7\n",
-    "natural-units": "[well]\nhbar = 0.7\n",
-    "misplaced-key": "units = custom\n[well]\ndigits = 9\n",
+    "narrow": "[well]\nhalf_width = 0.7\n",
+    "misspelled-key": "[well]\nhbr = 0.7\n",
+    "unknown-section": "[wel]\nhbar = 0.7\n",
+    "units-key": "units = custom\n[well]\nhbar = 0.7\n",
+    "misplaced-key": "[well]\ndigits = 9\n",
 }
 
 DIGIT_OPS = (
@@ -103,7 +109,9 @@ EDGE_OPS = tuple(
     ("momentum", "continuous", "--n", n, "--count", count)
     for n in ("1", "20")
     for count in ("3", "15", "17", "121")
-) + tuple(("momentum", "discrete", "--k-max", k) for k in ("1", "7", "60"))
+) + tuple(("momentum", "discrete", "--k-max", k) for k in ("1", "7", "60")) + (
+    ("momentum", "discrete", "--n", "5", "--k-max", "1"),
+)
 
 RULE_OPS = (
     ("momentum", "continuous", "--p-max", "435"),
@@ -140,11 +148,16 @@ VERDICT_OPS = (
 BUDGET_OPS = (
     ("landau", "state", "--level", "20000"),
     ("landau", "state", "--gauge", "symmetric", "--angular", str(10**20)),
+    ("landau", "state", "--edge-x", "1e12"),
+    ("well", "eigenfunction", "--samples", "100000000001"),
+    ("momentum", "continuous", "--count", "100000000001"),
 )
+
+WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
-MALFORMED = ("misspelled-key", "unknown-section", "natural-units", "misplaced-key")
+MALFORMED = ("misspelled-key", "unknown-section", "units-key", "misplaced-key")
 
 # (config name, ops run with it, extra flags)
 CONFIG_OPS = (
@@ -164,7 +177,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS)]
+    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS, *WARNING_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]

@@ -167,11 +167,11 @@ def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
 
 
 def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
-    levels = range(1, _index(args.n_max, "--n-max", 1) + 1)
+    n_max = _index(args.n_max, "--n-max", 1)
+    _check_budget(n_max)
+    levels = range(1, n_max + 1)
     energies = [spec.energy(n) for n in levels]
-    ratio_defect = max(
-        abs(e / (n * n * energies[0]) - 1.0) for n, e in zip(levels, energies)
-    )
+    ratio_defect = max(abs(e / (n * n * energies[0]) - 1.0) for n, e in zip(levels, energies))
     diffs = np.diff(energies)
     monotone_defect = float(max(0.0, -diffs.min())) if diffs.size else 0.0
     checks = [
@@ -389,7 +389,7 @@ def _add_common(parser: argparse.ArgumentParser):
 def _leaf(commands, name: str, handler, help_text: str) -> argparse.ArgumentParser:
     sub = commands.add_parser(name, help=help_text)
     _add_common(sub)
-    sub.set_defaults(handler=handler)
+    sub.set_defaults(handler=handler, leaf=sub)
     return sub
 
 
@@ -499,7 +499,10 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     group = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = build_parser(group).parse_args(argv)
+        args, extra = build_parser(group).parse_known_args(argv)
+        if extra:
+            # The leaf's own parser reports them, under the leaf's usage line.
+            args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

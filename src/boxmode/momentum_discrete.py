@@ -105,7 +105,11 @@ def expand(
     is rejected instead. The ladder x nodes kernel is built from cos and sin
     on the non-negative half of the nodes (``_plane_waves``) and applied in
     row blocks of small products by the transforms' one rule
-    (``_in_row_blocks``), so memory stays bounded for any k_max.
+    (``_in_row_blocks``), so memory stays bounded for any k_max. The kernel
+    obeys kernel(-p) == conj(kernel(p)) bit for bit, so each rung pair of
+    exactly opposite momenta (k and -k on the integer ladder, k and -k-1 on
+    the half-integer one) is built once; the coefficients equal the
+    one-shot product's.
     """
     a = spec.half_width
     ks, momenta = allowed_momenta(spec, phase, k_max)
@@ -116,8 +120,8 @@ def expand(
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm over the box is {norm:.8f}, expected 1 within 1e-6")
 
-    def kernel(rows):
-        block = _plane_waves(rows, x, spec.hbar)
+    def kernel(rows, out):
+        block = _plane_waves(rows, x, spec.hbar, out)
         block /= np.sqrt(2.0 * a)
         return block
 

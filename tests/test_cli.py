@@ -13,6 +13,7 @@ import pytest
 from boxmode import (
     LandauSpec,
     ResolutionError,
+    WellSpec,
     hamiltonian_residual,
     landau_gauge,
     landau_gauge_state,
@@ -258,6 +259,38 @@ def test_grids_past_sample_budget_exit_two_before_allocating(tmp_path, capsys, a
     assert "exceeds the budget 16777216" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
     assert elapsed < 1.0
+
+
+def test_level_table_past_sample_budget_exits_two_before_the_loop(tmp_path, capsys, monkeypatch):
+    """10^8 levels once ran a Python loop toward ~20 GiB; no level is computed now."""
+
+    def boom(self, n):
+        raise AssertionError("the level loop ran")
+
+    monkeypatch.setattr(WellSpec, "energy", boom)
+    code = run_in(tmp_path / "sub", "well", "energies", "--n-max", "100000000")
+    assert code == 2
+    assert "exceeds the budget 16777216" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (("well", "energies", "--bogus", "1"), "--bogus 1"),
+        (("momentum", "continuous", "--n", "2", "--bogus"), "--bogus"),
+        (("landau", "hall", "extra"), "extra"),
+    ],
+)
+def test_unknown_leaf_argument_is_reported_by_the_leaf(tmp_path, capsys, argv, extra):
+    """Once the top-level usage; now the leaf's usage and its own prefix."""
+    leaf = " ".join(argv[:2])
+    code = run_in(tmp_path / "sub", *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"usage: boxmode {leaf} [-h]")
+    assert err.endswith(f"boxmode {leaf}: error: unrecognized arguments: {extra}\n")
+    assert not (tmp_path / "sub").exists()
 
 
 @pytest.mark.parametrize("n, k_max", [(3, 1), (4, 1), (5, 2), (6, 2)])

@@ -18,6 +18,7 @@ from boxmode import (
     analytic_density,
     default_grid,
     farfield_map,
+    momentum_continuous,
     spectrum,
     uncertainty_product,
 )
@@ -268,6 +269,75 @@ def test_blocked_farfield_is_bitwise_one_shot(spec, count):
     assert farfield_map(spec, 2, t, 1.5) == scalar
 
 
+# Grids for the kernel(-p) == conj(kernel(p)) sharing: every row paired; no
+# row paired; signed zeros and repeats (-0.0 pairs with +0.0, each negative
+# row with one positive row, the rest built alone); 130 pairs, more than a
+# 120-row block, whose partners sit 330 rows apart; and a whole grid
+# on the odd, 257-node rule, whose middle node is 0.
+_HALVES = 0.5 * np.arange(1.0, 131.0)
+MIRROR_GRIDS = {
+    "fully-paired": 0.75 * np.arange(-120.0, 121.0),
+    "no-pairs": 0.37 + 0.75 * np.arange(-120.0, 121.0),
+    "signed-zeros-and-repeats": np.array(
+        [0.0, -0.0, 1.5, -1.5, 1.5, -1.5, -1.5, 2.0, 2.0, -0.0, 0.0, 7.25, -3.0]
+    ),
+    "partners-blocks-apart": np.concatenate([_HALVES, 0.3 + 0.41 * np.arange(200.0), -_HALVES]),
+    "zero-node-257": 0.5 * np.arange(-863.0, 864.0),
+}
+MIRROR_SPECS = {"natural": WellSpec(), "custom": WellSpec(half_width=2.5, mass=0.7, hbar=1.3)}
+MIRROR_CASES = [
+    pytest.param(spec, p, id=f"{units}-{name}")
+    for units, spec in MIRROR_SPECS.items()
+    for name, p in MIRROR_GRIDS.items()
+]
+
+
+@pytest.mark.parametrize("spec, p", MIRROR_CASES)
+def test_mirrored_rows_are_bitwise_one_shot(spec, p):
+    """Shared cos/sin rows change no bit of the transform or the far field,
+    for a 1-D grid and for a 2-D array of it and its reverse."""
+    psi = Eigenfunction(spec, 3)
+    radians = psi.wavenumber * spec.half_width
+    expected = one_shot_transform(spec, psi, p, radians)
+    assert amplitude_transform(spec, 3, p).tobytes() == expected.tobytes()
+    square = np.stack([p, p[::-1]])
+    expected = one_shot_transform(spec, psi, square, radians)
+    assert amplitude_transform(spec, 3, square).tobytes() == expected.tobytes()
+    t, a = 20.0, spec.half_width
+
+    def chirped(x):
+        return psi(x) * np.exp(1j * spec.mass * x**2 / (2.0 * spec.hbar * t))
+
+    radians += a * (spec.mass * a / t) / spec.hbar
+    expected = np.abs(one_shot_transform(spec, chirped, p, radians)) ** 2
+    assert farfield_map(spec, 3, t, p).tobytes() == expected.tobytes()
+
+
+def test_zero_node_grid_takes_the_odd_rule():
+    spec = WellSpec()
+    a = spec.half_width
+    radians = 431.5 * a / spec.hbar + Eigenfunction(spec, 3).wavenumber * a
+    assert bandwidth_order(radians) == 257
+    assert np.abs(MIRROR_GRIDS["zero-node-257"]).max() == 431.5
+
+
+def test_farfield_builds_one_kernel_row_per_distinct_magnitude(spec, monkeypatch):
+    """The far field's probe grid has 1,433 distinct |p| among its 2,001
+    rows; only those are built, padded to whole 15-row product steps."""
+    asked = []
+
+    def counting(rows, x, hbar, out):
+        asked.append(rows.copy())
+        return _plane_waves(rows, x, hbar, out)
+
+    monkeypatch.setattr(momentum_continuous, "_plane_waves", counting)
+    p = np.linspace(-3.0 * np.pi, 3.0 * np.pi, 2001)
+    farfield_map(spec, 1, 50.0, p)
+    asked = np.concatenate(asked)
+    assert np.unique(asked).size == np.unique(np.abs(p)).size == 1433
+    assert asked.size == 1440
+
+
 @pytest.mark.parametrize("hbar", [1.0, 1.3, 1.0545718e-34])
 @pytest.mark.parametrize("order", [2, 3, 256, 257, 259, 374, 2048])
 def test_plane_waves_are_bitwise_one_shot_exp(order, hbar):
@@ -281,7 +351,8 @@ def test_plane_waves_are_bitwise_one_shot_exp(order, hbar):
     spread = np.random.default_rng(order).uniform(-p_top, p_top, 64)
     rows = np.concatenate([[0.0, -0.0], np.linspace(-p_top, p_top, 65), spread])
     expected = np.exp(-1j * np.outer(rows, x) / hbar)
-    assert _plane_waves(rows, x, hbar).tobytes() == expected.tobytes()
+    kernel = np.empty((rows.size, x.size), dtype=complex)
+    assert _plane_waves(rows, x, hbar, kernel).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan, np.array([0.0, np.nan, 1.0])])

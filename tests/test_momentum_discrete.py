@@ -14,7 +14,9 @@ from boxmode import (
     eigenstate_spectrum,
     expand,
     matched_phase,
+    momentum_discrete,
 )
+from boxmode.momentum_continuous import _plane_waves
 from boxmode.quadrature import bandwidth_order
 
 # Window mass captured around the two spikes (default window, natural
@@ -139,25 +141,46 @@ def test_expand_rejects_nan_state(spec):
 
 
 @pytest.mark.parametrize(
-    "spec, k_max",
-    [pytest.param(WellSpec(), k, id=str(k)) for k in (0, 1, 7, 8, 60, 140, 511, 512, 1024)]
+    "spec, k_max, n",
+    [pytest.param(WellSpec(), k, 2, id=str(k)) for k in (0, 1, 7, 8, 60, 140, 511, 512, 1024)]
     + [
-        pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), k, id=f"custom-{k}")
+        pytest.param(WellSpec(half_width=2.5, mass=0.7, hbar=1.3), k, 2, id=f"custom-{k}")
         for k in (0, 1, 7, 8, 60, 140, 511, 512, 1024)
-    ],
+    ]
+    + [pytest.param(WellSpec(), k, 1, id=f"half-{k}") for k in (0, 1, 7, 8, 60, 140)],
 )
-def test_blocked_expand_is_bitwise_one_shot(spec, k_max):
+def test_blocked_expand_is_bitwise_one_shot(spec, k_max, n):
     """k_max = 1, 7, 8 and 60 give ladders of 3, 15, 17 and 121 rows, at the
     edges of a 15-row product step and a 120-row block; k_max = 140 sizes an
     odd, 259-node rule, whose middle node is 0; k_max = 512 and 1024 take
-    4- and 2-row steps."""
-    state, phase = Eigenfunction(spec, 2), matched_phase(2)
+    4- and 2-row steps. Level 2's integer ladder pairs rung k with -k, and
+    level 1's half-integer ladder pairs k with -k-1 and leaves its top rung
+    alone: sharing their kernel rows changes no coefficient bit."""
+    state, phase = Eigenfunction(spec, n), matched_phase(n)
     a = spec.half_width
     _, momenta = allowed_momenta(spec, phase, k_max)
     x, w = QuadratureSettings(bandwidth_order(a * np.abs(momenta).max() / spec.hbar)).nodes(-a, a)
     kernel = np.exp(-1j * np.outer(momenta, x) / spec.hbar) / np.sqrt(2.0 * a)
     expected = kernel @ (w * np.asarray(state(x), dtype=complex))
-    assert np.array_equal(expand(spec, state, phase, k_max).coefficients, expected)
+    assert expand(spec, state, phase, k_max).coefficients.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("phase", [ExtensionPhase(0.0), matched_phase(1)], ids=["integer", "half"])
+def test_expand_builds_one_kernel_row_per_distinct_magnitude(spec, monkeypatch, phase):
+    """281 rungs at k_max = 140 hold 141 distinct |p| on either ladder; only
+    those are built, padded to whole 15-row product steps of the 259-node rule."""
+    asked = []
+
+    def counting(rows, x, hbar, out):
+        asked.append(rows.copy())
+        return _plane_waves(rows, x, hbar, out)
+
+    monkeypatch.setattr(momentum_discrete, "_plane_waves", counting)
+    result = expand(spec, Eigenfunction(spec, 1), phase, 140)
+    asked = np.concatenate(asked)
+    assert result.momenta.size == 281
+    assert np.unique(asked).size == 141
+    assert asked.size == 150
 
 
 def test_expand_rejects_negative_k_max(spec):

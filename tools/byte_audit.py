@@ -20,6 +20,10 @@ The ops:
   of the box transforms' product steps (15 rows at n = 1's 256 nodes, 10 at
   n = 20's 374) and 120-row blocks; and ``momentum discrete --n 5 --k-max 1``,
   a ladder short of level 5's spikes at -3 and 2 (exit 2);
+* ``momentum continuous --p-max 32.75 --count 263``, a grid of exact
+  quarters whose 131 mirrored pairs fill more than one 120-row block, each
+  pair's rows on both sides of the block edge; and ``momentum discrete --n 2
+  --k-max 60``, the integer ladder whose +0 rung has no partner;
 * ``momentum continuous --p-max`` 435, 3944 and 3945 and ``momentum
   discrete --k-max 1255``: the first Gauss-Legendre order above the shipped
   256 (257 nodes), exactly ``NODE_BUDGET`` (2048 nodes, by both transforms)
@@ -47,7 +51,10 @@ The ops:
   grid must be rejected before it is allocated; and grids past the 2**24
   sample budget, each rejected before it is allocated: ``landau state
   --edge-x 1e12``, and ``well eigenfunction --samples`` and ``momentum
-  continuous --count`` at 100000000001;
+  continuous --count`` at 100000000001; and ``well energies --n-max``
+  100000000, whose level table is rejected before its loop;
+* ``well energies --bogus 1``, an unknown flag reported under the leaf's
+  usage;
 * ``landau state --p-x 20``, whose guiding line lies outside the default
   rectangle: one warning, from the state's default grid;
 * ``release evolve`` with half width 0.7, whose ``energy-conservation``
@@ -113,6 +120,11 @@ EDGE_OPS = tuple(
     ("momentum", "discrete", "--n", "5", "--k-max", "1"),
 )
 
+MIRROR_OPS = (
+    ("momentum", "continuous", "--p-max", "32.75", "--count", "263"),
+    ("momentum", "discrete", "--n", "2", "--k-max", "60"),
+)
+
 RULE_OPS = (
     ("momentum", "continuous", "--p-max", "435"),
     ("momentum", "continuous", "--p-max", "3944"),
@@ -151,7 +163,10 @@ BUDGET_OPS = (
     ("landau", "state", "--edge-x", "1e12"),
     ("well", "eigenfunction", "--samples", "100000000001"),
     ("momentum", "continuous", "--count", "100000000001"),
+    ("well", "energies", "--n-max", "100000000"),
 )
+
+ARGUMENT_OPS = (("well", "energies", "--bogus", "1"),)
 
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
@@ -177,7 +192,8 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    ops += [list(op) for op in (*EDGE_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS, *WARNING_OPS)]
+    singles = (*EDGE_OPS, *MIRROR_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS, *ARGUMENT_OPS)
+    ops += [list(op) for op in (*singles, *WARNING_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]

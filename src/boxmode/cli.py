@@ -168,7 +168,7 @@ def _emit(args, rc: RunConfig, checks, tables, info=()) -> int:
 
 def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
     n_max = _index(args.n_max, "--n-max", 1)
-    _check_budget(n_max)
+    _check_budget(n_max, "level table")
     levels = range(1, n_max + 1)
     energies = [spec.energy(n) for n in levels]
     ratio_defect = max(abs(e / (n * n * energies[0]) - 1.0) for n, e in zip(levels, energies))
@@ -185,7 +185,7 @@ def cmd_well_energies(args, spec: WellSpec, rc: RunConfig):
 def cmd_well_eigenfunction(args, spec: WellSpec, rc: RunConfig):
     if args.samples < 9 or args.samples % 2 == 0:
         raise ConfigError(f"--samples must be an odd integer >= 9, got {args.samples}")
-    _check_budget(args.samples)
+    _check_budget(args.samples, "sample grid")
     psi = Eigenfunction(spec, args.n)
     x = np.linspace(-spec.half_width, spec.half_width, args.samples)
     values = psi(x)
@@ -303,9 +303,9 @@ def cmd_landau_state(args, spec: LandauSpec, rc: RunConfig):
         CheckResult("norm-defect", state.norm() - 1.0, 1e-10),
         CheckResult("eigenvalue-residual", residual, RESIDUAL_LIMIT),
     ]
-    X, Y = state.meshes()
+    x, y = np.repeat(state.x, state.y.size), np.tile(state.y, state.x.size)
     psi = state.values
-    rows = np.column_stack([a.ravel() for a in (X, Y, psi.real, psi.imag, state.density)])
+    rows = np.column_stack([a.ravel() for a in (x, y, psi.real, psi.imag, state.density)])
     header = ("x", "y", "psi_re", "psi_im", "density")
     return checks, {"landau_state.csv": (header, rows)}
 

@@ -119,13 +119,24 @@ def symmetric_gauge(B: float) -> GaugeField:
     return GaugeField(name="symmetric", B=B)
 
 
+def _grid_axis(axis, name: str) -> np.ndarray:
+    """``axis`` as floats; raises ``ValueError`` unless it is 1-D with at
+    least 5 points, the fewest a 4th-order stencil spans."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size < 5:
+        raise ValueError(f"{name} axis must be 1-D with at least 5 points")
+    return axis
+
+
 @dataclass(frozen=True)
 class GridField2D:
     """A normalized complex field on a uniform rectangular grid.
 
-    ``values[i, j]`` is the field at ``(x[i], y[j])``. Construction rejects
-    non-uniform axes and fields whose discrete norm is not within 1e-10 of
-    1, a NaN norm included.
+    The two 1-D axes are the grid: ``values[i, j]`` is the field at
+    ``(x[i], y[j])``, and coordinates enter formulas as ``x[:, None]`` and
+    ``y`` by broadcasting. Construction rejects axes that are not 1-D with at
+    least 5 points, non-uniform axes and fields whose discrete norm is not
+    within 1e-10 of 1, a NaN norm included.
     """
 
     x: np.ndarray
@@ -134,9 +145,7 @@ class GridField2D:
 
     def __post_init__(self):
         for axis_name, axis in (("x", self.x), ("y", self.y)):
-            if axis.ndim != 1 or axis.size < 5:
-                raise ValueError(f"{axis_name} axis must be 1-D with at least 5 points")
-            steps = np.diff(axis)
+            steps = np.diff(_grid_axis(axis, axis_name))
             if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
                 raise ValueError(f"{axis_name} axis must be uniformly spaced")
         if self.values.shape != (self.x.size, self.y.size):
@@ -163,13 +172,8 @@ class GridField2D:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.dx * self.dy)
 
-    def meshes(self):
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
 
 def _normalized_field(x, y, values) -> GridField2D:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0]) * (y[1] - y[0]))
     if norm == 0:
         raise ValueError("field vanishes identically on the grid")
@@ -196,15 +200,17 @@ def landau_gauge_state(
     centered on the guiding line y = -c p_x / (charge B). The default grid,
     [0, Lx] x [0, Ly] at step magnetic_length/8, raises ``ResolutionError``
     past ``SAMPLE_BUDGET`` points (counted as floats) before allocating, and
-    warns when the line lies outside [0, Ly]; pass a custom (x, y) pair to
-    study the state on its own support. A non-finite p_x raises ``ValueError``.
+    warns when the line lies outside [0, Ly]; pass a custom (x, y) pair of 1-D
+    axes to study the state on its own support. A non-finite p_x raises
+    ``ValueError``.
     """
     n = _level(n, "level")
     length = spec.magnetic_length
     y_guide = spec.guiding_line(p_x)
     if grid is None:
         step = length / 8.0
-        _check_budget((np.ceil(spec.Lx / step) + 1.0) * (np.ceil(spec.Ly / step) + 1.0))
+        points = (np.ceil(spec.Lx / step) + 1.0) * (np.ceil(spec.Ly / step) + 1.0)
+        _check_budget(points, "sample grid")
         if not 0.0 <= y_guide <= spec.Ly:
             warnings.warn(
                 f"guiding line y = {y_guide:.6g} lies outside [0, {spec.Ly}]; "
@@ -212,16 +218,15 @@ def landau_gauge_state(
                 stacklevel=2,
             )
         grid = (_axis(0.0, spec.Lx, step), _axis(0.0, spec.Ly, step))
-    x, y = grid
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
-    xi = (Y - y_guide) / length
+    x, y = _grid_axis(grid[0], "x"), _grid_axis(grid[1], "y")
+    xi = (y - y_guide) / length
     # h_{k+1} = (2 xi h_k - sqrt(2k) h_{k-1}) / sqrt(2(k+1)) never overflows
     # (Bunck, BIT 49, 281 (2009)); ``profile`` holds sqrt(2k) h_k.
     previous, profile = 0.0, np.exp(-0.5 * xi**2)
     for k in range(n):
         h_k = profile / np.sqrt(max(2.0 * k, 1.0))
         previous, profile = h_k, 2.0 * xi * h_k - np.sqrt(2.0 * k) * previous
-    values = np.exp(1j * p_x * X / spec.hbar) * profile
+    values = np.exp(1j * p_x * x / spec.hbar)[:, None] * profile
     return _normalized_field(x, y, values)
 
 
@@ -267,12 +272,11 @@ def symmetric_gauge_state(
         extent = _ring_extent(spec, n, angular)
         axis = _centered_axis(extent, _probe_step(spec, 1, extent))
         grid = (axis, axis)
-    x, y = grid
-    X, Y = np.meshgrid(np.asarray(x, float), np.asarray(y, float), indexing="ij")
+    x, y = _grid_axis(grid[0], "x"), _grid_axis(grid[1], "y")
     if spec.charge < 0:
-        zeta = (X - 1j * Y) / (2.0 * length)
+        zeta = (x[:, None] - 1j * y) / (2.0 * length)
     else:
-        zeta = (X + 1j * Y) / (2.0 * length)
+        zeta = (x[:, None] + 1j * y) / (2.0 * length)
     order, alpha = min(n, angular), abs(angular - n)
     r2 = np.abs(zeta) ** 2
     values = _power_times_gaussian(zeta if angular >= n else np.conj(zeta), alpha, r2)
@@ -318,8 +322,7 @@ def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -
     + (charge^2 / 2 m c^2) |A|^2. Derivatives are 4th-order stencils; only
     values at least two cells from every edge are trustworthy.
     """
-    X, Y = state.meshes()
-    A_x, A_y = gauge.vector_potential(X, Y)
+    A_x, A_y = gauge.vector_potential(state.x[:, None], state.y)
     psi = state.values
     hbar, q, m, c = spec.hbar, spec.charge, spec.mass, spec.light_speed
     laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
@@ -428,8 +431,7 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     commutator vanishes. Only the interior (four cells in) is compared.
     """
     _check_resolution(spec, test_state, margin=4)
-    X, Y = test_state.meshes()
-    A_x, A_y = gauge.vector_potential(X, Y)
+    A_x, A_y = gauge.vector_potential(test_state.x[:, None], test_state.y)
     hbar, q, c = spec.hbar, spec.charge, spec.light_speed
     dx, dy = test_state.dx, test_state.dy
 
@@ -455,7 +457,7 @@ def gaussian_test_state(spec: LandauSpec) -> GridField2D:
     """A smooth, anisotropic, tilted Gaussian for derivative checks."""
     length = spec.magnetic_length
     axis = _axis(-8.0 * length, 8.0 * length, length / 8.0)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    X, Y = axis[:, None], axis
     envelope = np.exp(-(X**2 + 1.3 * Y**2 + 0.4 * X * Y) / (5.0 * length**2))
     ripple = np.exp(0.3j * (X + 0.7 * Y) / length)
     return _normalized_field(axis, axis, envelope * ripple)

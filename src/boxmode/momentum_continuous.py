@@ -38,15 +38,11 @@ class MomentumGrid:
         _positive(self.p_max, "p_max")
         if _index(self.count, "count", 3) % 2 == 0:
             raise ValueError(f"count must be an odd integer >= 3, got {self.count}")
-        _check_budget(self.count)
+        _check_budget(self.count, "sample grid")
 
     @property
     def points(self) -> np.ndarray:
         return np.linspace(-self.p_max, self.p_max, self.count)
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.p_max / (self.count - 1)
 
 
 def default_grid(spec: WellSpec, n: int) -> MomentumGrid:
@@ -235,14 +231,6 @@ class ContinuousMomentumSpectrum:
     def norm_trapezoid(self) -> float:
         """Trapezoid integral of the density over the grid window."""
         return float(np.trapezoid(self.density, self.grid.points))
-
-    def peak_momenta(self) -> tuple[float, float]:
-        """Grid momenta of the density maxima on the negative and positive axes."""
-        p = self.grid.points
-        half = self.grid.count // 2
-        neg = int(np.argmax(self.density[:half]))
-        pos = half + int(np.argmax(self.density[half:]))
-        return float(p[neg]), float(p[pos])
 
 
 def spectrum(

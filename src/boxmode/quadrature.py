@@ -54,12 +54,13 @@ def _positive(value, name: str):
         raise ValueError(f"{name} must be positive and finite, got {_text(value)}")
 
 
-def _check_budget(samples):
+def _check_budget(samples, what: str):
     """Raise ``ResolutionError`` unless ``samples``, an int or a float (inf and
-    nan fail), is at most ``SAMPLE_BUDGET``; an int past the floats is named whole."""
+    nan fail), is at most ``SAMPLE_BUDGET``; the message counts ``what`` (say
+    "sample grid"), and an int past the floats is named whole."""
     if not samples <= SAMPLE_BUDGET:
         count = _text(samples) if isinstance(samples, int) and samples > 1e300 else f"{samples:.6g}"
-        raise ResolutionError(f"a {count}-sample grid exceeds the budget {SAMPLE_BUDGET}")
+        raise ResolutionError(f"a {count}-{what} exceeds the budget {SAMPLE_BUDGET}")
 
 
 def _finite(value, name: str):

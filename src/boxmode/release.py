@@ -85,7 +85,7 @@ def suggested_box(spec: WellSpec, n: int, t: float) -> tuple[float, int]:
     reach = (2.0 * k * k * spread * spread * spread / (np.pi * a * eps)) ** 0.25
     dx = a / 128.0
     length = max(2.0 * a + 2.0 * reach, 16.0 * a)
-    _check_budget(length / dx)
+    _check_budget(length / dx, "sample grid")
     samples = 1 << int(np.ceil(np.log2(length / dx)))
     return samples * dx, samples
 
@@ -111,7 +111,7 @@ def evolve_free(
     samples = _index(samples, "sample count", 4)
     if samples & (samples - 1):
         raise ValueError(f"sample count must be a power of two >= 4, got {samples}")
-    _check_budget(samples)
+    _check_budget(samples, "sample grid")
     _positive(length, "box length")
     if not length > 2.0 * spec.half_width:
         raise ValueError("box must be longer than the distance between the walls")

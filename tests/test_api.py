@@ -6,8 +6,11 @@ import inspect
 import boxmode
 from boxmode import (
     Eigenfunction,
+    ContinuousMomentumSpectrum,
     EvolutionSnapshot,
     GaugeField,
+    GridField2D,
+    MomentumGrid,
     QuadratureSettings,
     landau,
     momentum_discrete,
@@ -30,6 +33,9 @@ DELETED_MEMBERS = (
     (QuadratureSettings, "integrate"),
     (Eigenfunction, "energy"),
     (EvolutionSnapshot, "box_length"),
+    (ContinuousMomentumSpectrum, "peak_momenta"),
+    (MomentumGrid, "step"),
+    (GridField2D, "meshes"),
 )
 
 

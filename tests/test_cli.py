@@ -270,7 +270,8 @@ def test_level_table_past_sample_budget_exits_two_before_the_loop(tmp_path, caps
     monkeypatch.setattr(WellSpec, "energy", boom)
     code = run_in(tmp_path / "sub", "well", "energies", "--n-max", "100000000")
     assert code == 2
-    assert "exceeds the budget 16777216" in capsys.readouterr().err
+    # The budget counts levels here, and the message says so.
+    assert "error: a 1e+08-level table exceeds the budget 16777216\n" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
 
 

@@ -28,11 +28,16 @@ The ops:
   discrete --k-max 1255``: the first Gauss-Legendre order above the shipped
   256 (257 nodes), exactly ``NODE_BUDGET`` (2048 nodes, by both transforms)
   and the first span past it (exit 2);
-* four custom-units runs at 9 digits (``release evolve``, ``momentum
-  continuous``, ``landau state``, ``well eigenfunction``), with half width
-  2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, mass 0.5 and
-  hbar 1.3 for the Landau system; a unit section applies whenever the file
-  has one, so no config carries a ``units`` line;
+* ``landau state --level 5 --p-x -1.7``, a higher ridge moving the other
+  way, and ``landau state --edge-x 6 --edge-y 14``, a non-square rectangle,
+  where a transposed broadcast or a swapped repeat/tile of the axes would
+  show;
+* six custom-units runs at 9 digits (``release evolve``, ``momentum
+  continuous``, ``landau state``, ``landau state --gauge symmetric --level
+  4 --angular 2``, ``landau checks``, ``well eigenfunction``), with half
+  width 2.5, mass 3.0 and hbar 0.7 for the well and charge 2.0, a positive
+  charge, mass 0.5 and hbar 1.3 for the Landau system; a unit section
+  applies whenever the file has one, so no config carries a ``units`` line;
 * the README's example config on every ``well``, ``momentum`` and
   ``release`` leaf, and a ``[landau]`` config setting charge, mass,
   light_speed and hbar on every ``landau`` leaf;
@@ -132,10 +137,17 @@ RULE_OPS = (
     ("momentum", "discrete", "--k-max", "1255"),
 )
 
+AXIS_OPS = (
+    ("landau", "state", "--level", "5", "--p-x", "-1.7"),
+    ("landau", "state", "--edge-x", "6", "--edge-y", "14"),
+)
+
 CUSTOM_OPS = (
     ("release", "evolve", "--n", "1", "--t", "1"),
     ("momentum", "continuous"),
     ("landau", "state"),
+    ("landau", "state", "--gauge", "symmetric", "--level", "4", "--angular", "2"),
+    ("landau", "checks"),
     ("well", "eigenfunction"),
 )
 
@@ -192,7 +204,9 @@ def audit_ops(configs: Path) -> list[list[str]]:
 
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
-    singles = (*EDGE_OPS, *MIRROR_OPS, *RULE_OPS, *VERDICT_OPS, *BUDGET_OPS, *ARGUMENT_OPS)
+    singles = (
+        *EDGE_OPS, *MIRROR_OPS, *RULE_OPS, *AXIS_OPS, *VERDICT_OPS, *BUDGET_OPS, *ARGUMENT_OPS
+    )
     ops += [list(op) for op in (*singles, *WARNING_OPS)]
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")

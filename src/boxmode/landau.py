@@ -326,7 +326,9 @@ def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -
     psi = state.values
     hbar, q, m, c = spec.hbar, spec.charge, spec.mass, spec.light_speed
     laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
-    gradient_term = A_x * _derivative1(psi, state.dx, 0) + A_y * _derivative1(psi, state.dy, 1)
+    gradient_term = A_x * _derivative1(psi, state.dx, 0)
+    if gauge.name != "landau":  # the landau gauge's A_y is identically zero
+        gradient_term += A_y * _derivative1(psi, state.dy, 1)
     return (
         -(hbar * hbar) / (2.0 * m) * laplacian
         + (1j * hbar * q / (m * c)) * gradient_term

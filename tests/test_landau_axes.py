@@ -75,18 +75,22 @@ def mesh_gaussian(spec):
     return normalized(axis, axis, envelope * ripple)
 
 
-def mesh_residual(spec, gauge, state, energy):
+def mesh_hamiltonian(spec, gauge, state):
     A_x, A_y = gauge.vector_potential(*np.meshgrid(state.x, state.y, indexing="ij"))
     psi = state.values
     hbar, q, m, c = spec.hbar, spec.charge, spec.mass, spec.light_speed
     laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
     gradient_term = A_x * _derivative1(psi, state.dx, 0) + A_y * _derivative1(psi, state.dy, 1)
-    h_psi = (
+    return (
         -(hbar * hbar) / (2.0 * m) * laplacian
         + (1j * hbar * q / (m * c)) * gradient_term
         + (q * q / (2.0 * m * (c * c))) * (A_x**2 + A_y**2) * psi
     )
-    defect = h_psi - energy * psi
+
+
+def mesh_residual(spec, gauge, state, energy):
+    psi = state.values
+    defect = mesh_hamiltonian(spec, gauge, state) - energy * psi
     interior = (slice(2, -2), slice(2, -2))
     scale = spec.hbar * spec.cyclotron_frequency * np.abs(psi[interior]).max()
     return float(np.abs(defect[interior]).max() / scale)
@@ -141,6 +145,10 @@ def test_ridge_keeps_the_mesh_bits(spec, sign, n, on_probe):
     state = landau_gauge_state(spec, n, p_x, grid=grid)
     x, y = grid or (state.x, state.y)
     assert_same_bits(state, x, y, mesh_ridge(spec, n, p_x, x, y))
+    gauge = landau_gauge(spec.B)
+    assert apply_hamiltonian(spec, gauge, state).tobytes() == (
+        mesh_hamiltonian(spec, gauge, state).tobytes()
+    )
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -168,6 +176,10 @@ def test_operators_return_the_mesh_floats(spec):
     for gauge in (landau_gauge(spec.B), symmetric_gauge(spec.B)):
         for state, n in ((ridge, 3), (ring, 1), (probe, 0)):
             energy = level_energy(spec, n)
+            # Bitwise, signed zeros included: the landau gauge skips the
+            # y-gradient term, whose A_y is identically zero.
+            expected = mesh_hamiltonian(spec, gauge, state)
+            assert apply_hamiltonian(spec, gauge, state).tobytes() == expected.tobytes()
             expected = mesh_residual(spec, gauge, state, energy)
             assert hamiltonian_residual(spec, gauge, state, energy) == expected
             assert commutator_check(spec, gauge, state) == mesh_commutator(spec, gauge, state)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+import boxmode.cli
 from boxmode import (
     AliasingError,
     Eigenfunction,
@@ -15,6 +16,7 @@ from boxmode import (
     grid_kinetic_energy,
     suggested_box,
 )
+from boxmode.report import CheckResult, write_csv
 
 # A box whose grid step a/128 puts both walls exactly on grid nodes.
 ALIGNED_BOX = (16.0, 2048)
@@ -200,3 +202,162 @@ def test_default_box_never_aliases(hbar, n, t):
     limit = 1e-10 / spec.half_width
     assert snapshot.density[0] <= limit
     assert snapshot.density[-1] <= limit
+
+
+# The evolution, its t = 0 reference and the energy check as one release
+# evolve op once computed them: each call builds its own grid and state, the
+# phase covers all N frequencies, and every transform is taken afresh.
+
+
+def two_pass_state(spec, n, t, box):
+    length, samples = box
+    dx = length / samples
+    x = (np.arange(samples) - samples // 2) * dx
+    psi0 = Eigenfunction(spec, n)(x).astype(complex)
+    psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
+    if t == 0:
+        return x, psi0
+    p = 2.0 * np.pi * spec.hbar * np.fft.fftfreq(samples, d=dx)
+    phase = np.exp(-1j * p**2 * t / (2.0 * spec.mass * spec.hbar))
+    return x, np.fft.ifft(np.fft.fft(psi0) * phase)
+
+
+def two_pass_energy(x, psi, spec):
+    weights = np.abs(np.fft.fft(psi)) ** 2
+    weights /= weights.sum()
+    p = 2.0 * np.pi * spec.hbar * np.fft.fftfreq(x.size, d=float(x[1] - x[0]))
+    return float((weights * p**2).sum() / (2.0 * spec.mass))
+
+
+def two_pass_energies(spec, n, t, box):
+    x, psi = two_pass_state(spec, n, t, box)
+    _, psi0 = two_pass_state(spec, n, 0.0, box)
+    return two_pass_energy(x, psi0, spec), two_pass_energy(x, psi, spec)
+
+
+NARROW = WellSpec(half_width=0.7)
+CUSTOM = WellSpec(half_width=2.5, mass=3.0, hbar=0.7)
+
+# (spec, n, t, box): the suggested boxes of the CLI ops, t < 0, a narrow well
+# whose step x[1] - x[0] is not length / samples, and the smallest grids,
+# where the mirrored half of the phase is one or three entries long.
+ONE_PASS_CASES = [
+    (WellSpec(), 1, 0.0, None),
+    (WellSpec(), 2, 0.3, None),
+    (WellSpec(), 1, 1.0, None),
+    (WellSpec(), 3, -1.0, (4096.0, 524288)),
+    (WellSpec(), 7, 0.3, None),
+    (WellSpec(), 1, 2.5, None),
+    (WellSpec(), 2, 0.01, ALIGNED_BOX),
+    (NARROW, 1, 1.0, None),
+    (NARROW, 2, -0.3, None),
+    (NARROW, 3, 0.0, None),
+    (CUSTOM, 1, 1.0, None),
+    (WellSpec(), 1, 0.0, (4.5, 4)),
+    (WellSpec(), 1, 1e-9, (4.5, 4)),
+    (WellSpec(), 1, -1e-9, (6.0, 8)),
+    (WellSpec(), 2, 1e-9, (6.0, 8)),
+]
+
+
+@pytest.mark.parametrize(("spec", "n", "t", "box"), ONE_PASS_CASES)
+def test_one_pass_keeps_the_two_pass_bits(spec, n, t, box):
+    box = box or suggested_box(spec, n, t)
+    snapshot = evolve_free(spec, n, t, box=box)
+    x, psi = two_pass_state(spec, n, t, box)
+    assert snapshot.x.tobytes() == x.tobytes()
+    assert snapshot.psi.tobytes() == psi.tobytes()
+    assert snapshot._energies == two_pass_energies(spec, n, t, box)
+    # The check as two evolve_free calls and grid_kinetic_energy read it.
+    reference = evolve_free(spec, n, 0.0, box=box)
+    initial, final = snapshot._energies
+    expected = grid_kinetic_energy(snapshot, spec) / grid_kinetic_energy(reference, spec)
+    assert abs(final / initial - 1.0) == abs(expected - 1.0)
+
+
+def test_narrow_well_steps_differ():
+    # The energies take x[1] - x[0], the phase length / samples; at
+    # half_width 0.7 they differ, so mixing them up would move bits.
+    length, samples = suggested_box(NARROW, 1, 1.0)
+    assert evolve_free(NARROW, 1, 0.0, box=(length, samples)).dx != length / samples
+
+
+@pytest.mark.parametrize("box", [(4.5, 4), (6.0, 8)])
+def test_one_pass_aliases_where_the_two_pass_did(box):
+    x, psi = two_pass_state(WellSpec(), 1, 1e-3, box)
+    assert max(abs(psi[0]) ** 2, abs(psi[-1]) ** 2) > 1e-10
+    with pytest.raises(AliasingError):
+        evolve_free(WellSpec(), 1, 1e-3, box=box)
+
+
+def evolve_run(tmp_path, monkeypatch, capsys, argv):
+    """Run a release evolve op; return its stdout lines, CSV bytes, the
+    number of forward and inverse transforms and of evolve_free calls."""
+    counts = {"transforms": 0, "evolve_free": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "transforms"))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft, "transforms"))
+    monkeypatch.setattr(boxmode.cli, "evolve_free", counted(evolve_free, "evolve_free"))
+    out = tmp_path / "out"
+    assert boxmode.cli.run(["release", "evolve", *argv, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    lines = capsys.readouterr().out.splitlines()
+    return lines, (out / "release_evolve.csv").read_bytes(), counts
+
+
+@pytest.mark.parametrize(("t", "transforms"), [("0.3", 3), ("-0.3", 3), ("0", 1)])
+def test_release_evolve_takes_one_forward_transform_of_the_initial_state(
+    tmp_path, monkeypatch, capsys, t, transforms
+):
+    # Two-pass: 4 at t != 0 (fft, ifft and one fft per energy), 2 at t = 0.
+    _, _, counts = evolve_run(tmp_path, monkeypatch, capsys, ["--n", "2", "--t", t])
+    assert counts == {"transforms": transforms, "evolve_free": 1}
+
+
+@pytest.mark.parametrize(
+    ("config", "argv"),
+    [
+        ("", ["--n", "2", "--t", "0.3"]),
+        ("[well]\nhalf_width = 0.7\n", ["--n", "1", "--t", "1", "--digits", "17"]),
+        ("", ["--n", "1", "--t", "1e-9", "--box-length", "4.5", "--samples", "4"]),
+        ("", ["--n", "3", "--t", "0", "--box-length", "6", "--samples", "8"]),
+    ],
+)
+def test_release_evolve_writes_the_two_pass_report(
+    tmp_path, monkeypatch, capsys, config, argv
+):
+    spec, digits = WellSpec(), 12
+    if config:
+        path = tmp_path / "narrow.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+        spec = NARROW
+    flags = dict(zip(argv[::2], argv[1::2]))
+    n, t = int(flags["--n"]), float(flags["--t"])
+    digits = int(flags.get("--digits", digits))
+    box = suggested_box(spec, n, t)
+    if "--samples" in flags:
+        box = (float(flags["--box-length"]), int(flags["--samples"]))
+    lines, csv, _ = evolve_run(tmp_path, monkeypatch, capsys, argv)
+
+    x, psi = two_pass_state(spec, n, t, box)
+    density = np.abs(psi) ** 2
+    initial, final = two_pass_energies(spec, n, t, box)
+    expected = [
+        CheckResult("norm-conservation", np.sum(density) * (x[1] - x[0]) - 1.0, 1e-9),
+        CheckResult("energy-conservation", abs(final / initial - 1.0), 1e-9),
+        CheckResult("edge-density", max(density[0], density[-1]), 1e-10 / spec.half_width),
+    ]
+    assert [line for line in lines if line.startswith("CHECK")] == [
+        check.line(digits) for check in expected
+    ]
+    rows = np.column_stack((x, psi.real, psi.imag, density))
+    header = ("x", "psi_re", "psi_im", "density")
+    assert csv == write_csv(tmp_path / "two_pass.csv", header, rows, digits).read_bytes()

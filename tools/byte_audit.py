@@ -63,7 +63,13 @@ The ops:
 * ``landau state --p-x 20``, whose guiding line lies outside the default
   rectangle: one warning, from the state's default grid;
 * ``release evolve`` with half width 0.7, whose ``energy-conservation``
-  reference must share the snapshot's box.
+  reference must share the snapshot's box, and whose energies take the step
+  x[1] - x[0] where the phase takes length / samples;
+* ``release evolve`` at the edges of its one-pass evolution, where one
+  transform of the t = 0 state serves the energy reference and the phase
+  is computed on frequencies 0..N/2 and mirrored: t = 0 and -0 (no phase),
+  t < 0, and the smallest power-of-two grids, 4 samples (a mirrored half of
+  one entry) and 8, at t = 0, +-1e-9 and at 1e-3, which aliases (exit 2).
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -178,6 +184,22 @@ BUDGET_OPS = (
     ("well", "energies", "--n-max", "100000000"),
 )
 
+EVOLVE_OPS = (
+    ("release", "evolve", "--n", "1", "--t", "0"),
+    ("release", "evolve", "--n", "2", "--t", "-0"),
+    ("release", "evolve", "--n", "2", "--t", "-0.3"),
+    *(
+        ("release", "evolve", "--n", n, "--t", t, "--box-length", length, "--samples", samples)
+        for n, t, length, samples in (
+            ("1", "0", "4.5", "4"),
+            ("1", "1e-9", "4.5", "4"),
+            ("1", "-1e-9", "6", "8"),
+            ("3", "0", "6", "8"),
+            ("1", "1e-3", "6", "8"),
+        )
+    ),
+)
+
 ARGUMENT_OPS = (("well", "energies", "--bogus", "1"),)
 
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
@@ -205,7 +227,8 @@ def audit_ops(configs: Path) -> list[list[str]]:
     ops = [list(op) for op in plan.every_variant()]
     ops += [[*op, "--digits", d] for d in ("1", "5", "17") for op in DIGIT_OPS]
     singles = (
-        *EDGE_OPS, *MIRROR_OPS, *RULE_OPS, *AXIS_OPS, *VERDICT_OPS, *BUDGET_OPS, *ARGUMENT_OPS
+        *EDGE_OPS, *MIRROR_OPS, *RULE_OPS, *AXIS_OPS, *VERDICT_OPS, *BUDGET_OPS, *EVOLVE_OPS,
+        *ARGUMENT_OPS,
     )
     ops += [list(op) for op in (*singles, *WARNING_OPS)]
     for name, config_ops, flags in CONFIG_OPS:

@@ -31,7 +31,6 @@ from .release import (
     EvolutionSnapshot,
     evolve_free,
     farfield_map,
-    grid_kinetic_energy,
     suggested_box,
 )
 from .landau import (
@@ -85,7 +84,6 @@ __all__ = [
     "expand",
     "farfield_map",
     "gaussian_test_state",
-    "grid_kinetic_energy",
     "hall_current",
     "hamiltonian_residual",
     "landau_gauge",

@@ -56,7 +56,6 @@ from .release import (
     EDGE_DENSITY_LIMIT,
     evolve_free,
     farfield_map,
-    suggested_box,
 )
 from .report import CheckResult, all_passed, write_csv
 from .well import Eigenfunction, WellSpec
@@ -262,9 +261,7 @@ def cmd_momentum_compare(args, spec: WellSpec, rc: RunConfig):
 def cmd_release_evolve(args, spec: WellSpec, rc: RunConfig):
     if (args.box_length is None) != (args.samples is None):
         raise ConfigError("--box-length and --samples must be given together")
-    box = (args.box_length, args.samples)
-    if args.box_length is None:
-        box = suggested_box(spec, args.n, args.t)
+    box = None if args.box_length is None else (args.box_length, args.samples)
     snapshot = evolve_free(spec, args.n, args.t, box=box)
     initial, final = snapshot._energies
     energy_drift = abs(final / initial - 1.0)
@@ -321,7 +318,7 @@ def cmd_landau_degeneracy(args, spec: LandauSpec, rc: RunConfig):
 
 def cmd_landau_hall(args, spec: LandauSpec, rc: RunConfig):
     report = hall_current(spec, args.voltage)
-    quantization_defect = abs(report.conductance / report.quantum - 1.0)
+    quantization_defect = abs(report.conductance_in_quanta - 1.0)
     checks = [CheckResult("conductance-quantization", quantization_defect, 1e-12)]
     rows = [
         ("per_electron_current", report.per_electron_current),

@@ -24,7 +24,8 @@ class LandauSpec:
 
     Gaussian-style electromagnetic conventions: the cyclotron frequency is
     |charge| B / (mass c) and the magnetic length sqrt(hbar c / |charge| B).
-    The default charge is -1, an electron in natural units.
+    The default charge is -1, an electron in natural units. The flux B Lx Ly
+    and its ratio to the flux quantum must be normal floats.
     """
 
     B: float = 1.0
@@ -40,6 +41,12 @@ class LandauSpec:
             raise ValueError(f"charge must be finite and nonzero, got {self.charge}")
         for name in ("B", "mass", "light_speed", "hbar", "Lx", "Ly"):
             _positive(getattr(self, name), name)
+        for flux in (self.flux, self.flux / self.flux_quantum):
+            if not np.finfo(float).tiny <= flux < np.inf:
+                raise ValueError(
+                    f"B={self.B}, Lx={self.Lx} and Ly={self.Ly} put the flux or its ratio "
+                    "to the flux quantum outside the normal float range"
+                )
 
     @property
     def cyclotron_frequency(self) -> float:
@@ -199,8 +206,9 @@ def landau_gauge_state(
     The state e^{i p_x x / hbar} times the n-th Hermite function in y,
     centered on the guiding line y = -c p_x / (charge B). The default grid,
     [0, Lx] x [0, Ly] at step magnetic_length/8, raises ``ResolutionError``
-    past ``SAMPLE_BUDGET`` points (counted as floats) before allocating, and
-    warns when the line lies outside [0, Ly]; pass a custom (x, y) pair of 1-D
+    past ``SAMPLE_BUDGET`` points (counted as floats) before allocating,
+    ``ValueError`` when an axis would hold fewer than 5 points, and warns
+    when the line lies outside [0, Ly]; pass a custom (x, y) pair of 1-D
     axes to study the state on its own support. A non-finite p_x raises
     ``ValueError``.
     """
@@ -209,8 +217,13 @@ def landau_gauge_state(
     y_guide = spec.guiding_line(p_x)
     if grid is None:
         step = length / 8.0
-        points = (np.ceil(spec.Lx / step) + 1.0) * (np.ceil(spec.Ly / step) + 1.0)
-        _check_budget(points, "sample grid")
+        x_points, y_points = np.ceil(spec.Lx / step) + 1.0, np.ceil(spec.Ly / step) + 1.0
+        _check_budget(x_points * y_points, "sample grid")
+        if min(x_points, y_points) < 5:
+            raise ValueError(
+                f"B={spec.B} puts fewer than 5 points on an axis of the default "
+                f"{spec.Lx} x {spec.Ly} rectangle at step magnetic_length/8 = {step:.6g}"
+            )
         if not 0.0 <= y_guide <= spec.Ly:
             warnings.warn(
                 f"guiding line y = {y_guide:.6g} lies outside [0, {spec.Ly}]; "
@@ -289,28 +302,23 @@ def symmetric_gauge_state(
     return _normalized_field(x, y, (-1) ** order * values)
 
 
-def _shifted(a: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    """a evaluated at index + offset along axis (edges wrap; callers must
-    discard a margin at least as wide as the largest offset)."""
-    return np.roll(a, -offset, axis=axis)
-
-
+# np.roll(a, -k, axis) is a at index + k; the edges wrap, so callers drop two cells.
 def _derivative1(a: np.ndarray, step: float, axis: int) -> np.ndarray:
     return (
-        _shifted(a, -2, axis)
-        - 8.0 * _shifted(a, -1, axis)
-        + 8.0 * _shifted(a, 1, axis)
-        - _shifted(a, 2, axis)
+        np.roll(a, 2, axis)
+        - 8.0 * np.roll(a, 1, axis)
+        + 8.0 * np.roll(a, -1, axis)
+        - np.roll(a, -2, axis)
     ) / (12.0 * step)
 
 
 def _derivative2(a: np.ndarray, step: float, axis: int) -> np.ndarray:
     return (
-        -_shifted(a, -2, axis)
-        + 16.0 * _shifted(a, -1, axis)
+        -np.roll(a, 2, axis)
+        + 16.0 * np.roll(a, 1, axis)
         - 30.0 * a
-        + 16.0 * _shifted(a, 1, axis)
-        - _shifted(a, 2, axis)
+        + 16.0 * np.roll(a, -1, axis)
+        - np.roll(a, -2, axis)
     ) / (12.0 * (step * step))
 
 

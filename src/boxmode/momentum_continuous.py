@@ -101,22 +101,16 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
         return kernel(rows, np.empty((rows.size, weighted.size), dtype=complex)) @ weighted
     step = max(2, 4095 // weighted.size)
     span = step * (KERNEL_ROWS // step)
-    # Negative rows first, so a stable sort puts them ahead of the positive
-    # rows of equal |p|: a shared magnitude is a negative-to-positive edge.
     neg = np.signbit(rows)
-    at = np.concatenate([np.flatnonzero(neg), np.flatnonzero(~neg)])
-    mag = np.abs(rows[at])
-    order = np.argsort(mag, kind="stable")
-    mag = mag[order]
-    first = order < np.count_nonzero(neg)
-    edge = np.flatnonzero((mag[1:] == mag[:-1]) & first[:-1] & ~first[1:])
-    minus_rows, plus_rows = at[order[edge]], at[order[edge + 1]]
+    minus_at, plus_at = np.flatnonzero(neg), np.flatnonzero(~neg)
+    shared, i, j = np.intersect1d(rows[plus_at], -rows[minus_at], return_indices=True)
+    plus_rows, minus_rows = plus_at[i], minus_at[j]
     single = np.ones(rows.size, dtype=bool)
     single[minus_rows] = False
     single[plus_rows] = False
-    built = np.concatenate([mag[edge], rows[single]])
+    built = np.concatenate([shared, rows[single]])
     padded = np.concatenate([built, np.full(-built.size % step, built[-1])])
-    mirrored = -(-edge.size // step) * step
+    mirrored = -(-shared.size // step) * step
     plus = np.empty(padded.size, dtype=complex)
     minus = np.empty(mirrored, dtype=complex)
     buffer = np.empty((min(span, padded.size), weighted.size), dtype=complex)
@@ -133,9 +127,9 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
             np.conjugate(block, out=block)
             minus[start : start + span] = stacked(block)
     out = np.empty(rows.size, dtype=complex)
-    out[plus_rows] = plus[: edge.size]
-    out[minus_rows] = minus[: edge.size]
-    out[single] = plus[edge.size : built.size]
+    out[plus_rows] = plus[: shared.size]
+    out[minus_rows] = minus[: shared.size]
+    out[single] = plus[shared.size : built.size]
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .momentum_continuous import _in_row_blocks, _plane_waves
+from .momentum_continuous import _in_row_blocks, _plane_waves, analytic_density
 from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
 from .well import WellSpec
 
@@ -182,8 +182,6 @@ def convergence_report(
     A window so narrow that p ± window_half_width round to one float raises
     ``ValueError``.
     """
-    from .momentum_continuous import analytic_density
-
     if window_half_width is None:
         window_half_width = np.pi * spec.hbar / (2.0 * spec.half_width)
     _positive(window_half_width, "window_half_width")

@@ -34,9 +34,9 @@ EDGE_DENSITY_LIMIT = 1e-10
 class EvolutionSnapshot:
     """State of the released particle at one instant, on a uniform grid.
 
-    ``_energies`` holds the ``grid_kinetic_energy`` of the t = 0 state and
-    of this one, which ``evolve_free`` takes from the transforms it already
-    computes; a snapshot built by hand has None.
+    ``_energies`` holds the grid kinetic energy (``_dft_energy``) of the
+    t = 0 state and of this one, which ``evolve_free`` takes from the
+    transforms it already computes; a snapshot built by hand has None.
     """
 
     t: float
@@ -193,21 +193,10 @@ def farfield_map(spec: WellSpec, n: int, t: float, p):
     return np.abs(_box_transform(spec, chirped, p, radians)) ** 2
 
 
-def grid_kinetic_energy(snapshot: EvolutionSnapshot, spec: WellSpec) -> float:
-    """Mean kinetic energy of a snapshot from its discrete Fourier weights.
-
-    ``evolve_free`` conserves it up to rounding: the evolution multiplies
-    each Fourier weight by a unimodular phase, and the transforms and sums
-    leave a relative drift of a few 1e-16. It carries a small positive
-    bias relative to the continuum energy because momentum weight beyond
-    the grid's band folds back in; the bias shrinks with the grid step.
-    """
-    return _dft_energy(np.fft.fft(snapshot.psi), snapshot.dx, spec)
-
-
 def _dft_energy(spectrum: np.ndarray, dx: float, spec: WellSpec) -> float:
     """sum |F_k|^2 p_k^2 / (2 mass sum |F_k|^2) over the discrete Fourier
-    coefficients F of a grid of step dx, with p_k = 2 pi hbar fftfreq_k."""
+    coefficients F of a grid of step dx, with p_k = 2 pi hbar fftfreq_k. Free
+    flight keeps it to a few 1e-16; weight past the band biases it slightly high."""
     weights = np.abs(spectrum)
     weights *= weights
     weights /= weights.sum()

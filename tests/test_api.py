@@ -14,6 +14,7 @@ from boxmode import (
     QuadratureSettings,
     landau,
     momentum_discrete,
+    release,
     report,
     well,
 )
@@ -23,6 +24,7 @@ DELETED = {
     landau: ("field_overlap", "radial_peak", "ring_radius", "vortex_lattice_constant",
              "vortex_state"),
     momentum_discrete: ("basis_state", "_k_indices"),
+    release: ("grid_kinetic_energy",),
     report: ("render_report", "CSV_CHUNK_ROWS"),
     well: ("normalization_defect",),
 }

@@ -211,6 +211,37 @@ def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
     assert not (tmp_path / "sub").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The flux leaves the floats: once an OverflowError traceback (exit 1).
+        (
+            ("landau", "degeneracy", "--edge-x", "1e160", "--edge-y", "1e160"),
+            "error: B=1.0, Lx=1e+160 and Ly=1e+160 put the flux",
+        ),
+        (
+            ("landau", "degeneracy", "--field", "1e300", "--edge-x", "1e10"),
+            "error: B=1e+300, Lx=10000000000.0 and Ly=10.0 put the flux",
+        ),
+        # The flux underflows to 0: once a ZeroDivisionError traceback (exit 1).
+        (
+            ("landau", "hall", "--edge-x", "1e-300", "--edge-y", "1e-300"),
+            "error: B=1.0, Lx=1e-300 and Ly=1e-300 put the flux",
+        ),
+        # Once "x axis must be 1-D with at least 5 points", an axis never passed.
+        (
+            ("landau", "state", "--field", "1e-300"),
+            "error: B=1e-300 puts fewer than 5 points on an axis of the default 10.0 x 10.0",
+        ),
+    ],
+    ids=["flux-overflows", "flux-overflows-in-a-strong-field", "flux-underflows", "coarse-grid"],
+)
+def test_landau_flags_past_the_flux_and_grid_rules_are_named(tmp_path, capsys, argv, message):
+    assert run_in(tmp_path / "sub", *argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
 def test_vanishing_window_is_named(tmp_path, capsys):
     # p +- 1e-300 rounds to p: the error names the window, not an empty interval.
     assert run_in(tmp_path / "sub", "momentum", "compare", "--window", "1e-300") == 2

@@ -164,6 +164,8 @@ def test_bad_input_raises_value_error_naming_the_parameter(call, name, bad):
         lambda: WellSpec(half_width=1e-150),
         lambda: WellSpec(hbar=1e150).energy(10**3),
         lambda: hall_current(LANDAU, np.finfo(float).tiny),
+        lambda: LandauSpec(B=np.finfo(float).tiny, Lx=1.0, Ly=2.0 * np.pi),
+        lambda: LandauSpec(Lx=1e150, Ly=1e150),
     ],
 )
 def test_values_at_each_rule_edge_pass(call):
@@ -225,6 +227,19 @@ RANGE_RULES = [
     ),
     ("subnormal voltage", lambda: hall_current(LANDAU, 1e-320), ValueError, "voltage"),
     ("largest subnormal voltage", lambda: hall_current(LANDAU, -1e-310), ValueError, "voltage"),
+    # The flux B Lx Ly and its ratio to the flux quantum must be normal floats:
+    # once an OverflowError in degeneracy or a ZeroDivisionError in hall_current.
+    *(
+        (f"flux {label}", lambda kwargs=kwargs: LandauSpec(**kwargs), ValueError, text)
+        for label, kwargs, text in (
+            ("overflows", {"Lx": 1e160, "Ly": 1e160}, "B=1.0, Lx=1e+160 and Ly=1e+160"),
+            ("overflows in a strong field", {"B": 1e300, "Lx": 1e10}, "B=1e+300, Lx=10000000000.0"),
+            ("underflows", {"Lx": 1e-300, "Ly": 1e-300}, "B=1.0, Lx=1e-300 and Ly=1e-300"),
+            ("is subnormal", {"Lx": 1e-160, "Ly": 1e-160}, "B=1.0, Lx=1e-160 and Ly=1e-160"),
+            ("ratio overflows", {"B": 1e300, "hbar": 1e-300}, "B=1e+300, Lx=10.0 and Ly=10.0"),
+            ("ratio is subnormal", {"B": 1e-10, "hbar": 1e300}, "B=1e-10, Lx=10.0 and Ly=10.0"),
+        )
+    ),
 ]
 
 
@@ -235,6 +250,26 @@ RANGE_RULES = [
 def test_inputs_leaving_the_float_range_raise_naming_them(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_ridge_grid_needs_five_points_an_axis():
+    """At step magnetic_length/8 the default 10 x 10 rectangle holds 4 points
+    an axis at B = 1.4e-3 and 5 at 1.5e-3; the error names the field and the
+    rectangle, and custom grids keep their axis messages."""
+    for B in (1.4e-3, 1e-300):
+        spec = LandauSpec(B=B)
+        text = f"B={B} puts fewer than 5 points on an axis of the default 10.0 x 10.0 rectangle"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            landau_gauge_state(spec, 0, 5.0 * B)
+    spec = LandauSpec(B=1.5e-3)
+    assert landau_gauge_state(spec, 0, 5.0 * spec.B).values.shape == (5, 5)
+    short = LandauSpec(B=1.5e-3, Ly=6.0)
+    with pytest.raises(ValueError, match=re.escape("default 10.0 x 6.0 rectangle")):
+        landau_gauge_state(short, 0, 3.0 * short.B)
+    grid = (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 4))
+    with pytest.raises(ValueError, match="^y axis must be 1-D with at least 5 points$"):
+        landau_gauge_state(LANDAU, 0, 0.5, grid=grid)
 
 
 # Python converts ints of at most sys.get_int_max_str_digits() digits to

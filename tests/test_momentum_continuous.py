@@ -285,6 +285,8 @@ MIRROR_GRIDS = {
     ),
     "partners-blocks-apart": np.concatenate([_HALVES, 0.3 + 0.41 * np.arange(200.0), -_HALVES]),
     "zero-node-257": 0.5 * np.arange(-863.0, 864.0),
+    # Repeats on one sign only: the pair search may take any of the -2.0 rows.
+    "one-sided-repeats": np.array([-2.0, -2.0, -2.0, 2.0, 0.5, 0.5, -0.5]),
 }
 MIRROR_SPECS = {"natural": WellSpec(), "custom": WellSpec(half_width=2.5, mass=0.7, hbar=1.3)}
 MIRROR_CASES = [

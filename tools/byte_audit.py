@@ -69,7 +69,13 @@ The ops:
   transform of the t = 0 state serves the energy reference and the phase
   is computed on frequencies 0..N/2 and mirrored: t = 0 and -0 (no phase),
   t < 0, and the smallest power-of-two grids, 4 samples (a mirrored half of
-  one entry) and 8, at t = 0, +-1e-9 and at 1e-3, which aliases (exit 2).
+  one entry) and 8, at t = 0, +-1e-9 and at 1e-3, which aliases (exit 2);
+* last, so the ops above keep their places: Landau flags whose flux leaves
+  the normal floats, ``landau degeneracy --edge-x 1e160 --edge-y 1e160``,
+  ``landau degeneracy --field 1e300 --edge-x 1e10`` and ``landau hall
+  --edge-x 1e-300 --edge-y 1e-300``, and ``landau state --field 1e-300``,
+  whose default rectangle holds fewer than 5 points an axis: each exits 2
+  naming B, Lx and Ly or the field and the rectangle.
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -202,6 +208,13 @@ EVOLVE_OPS = (
 
 ARGUMENT_OPS = (("well", "energies", "--bogus", "1"),)
 
+FLUX_OPS = (
+    ("landau", "degeneracy", "--edge-x", "1e160", "--edge-y", "1e160"),
+    ("landau", "degeneracy", "--field", "1e300", "--edge-x", "1e10"),
+    ("landau", "hall", "--edge-x", "1e-300", "--edge-y", "1e-300"),
+    ("landau", "state", "--field", "1e-300"),
+)
+
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
@@ -234,7 +247,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]
-    return ops
+    return ops + [list(op) for op in FLUX_OPS]
 
 
 def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:

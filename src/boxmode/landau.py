@@ -355,6 +355,15 @@ def _check_resolution(spec: LandauSpec, state: GridField2D, margin: int):
         raise ResolutionError(f"grid too small for a {margin}-cell stencil margin")
 
 
+def _check_scale(spec: LandauSpec, scale: float, what: str):
+    """Raise ResolutionError naming B when ``scale``, a residual's divisor, is
+    0, subnormal or not finite, as a field far from 1 makes it."""
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise ResolutionError(
+            f"B={spec.B} puts the {what} = {scale:.6g} outside the normal float range"
+        )
+
+
 def hamiltonian_residual(
     spec: LandauSpec, gauge: GaugeField, state: GridField2D, energy: float
 ) -> float:
@@ -363,12 +372,15 @@ def hamiltonian_residual(
     The residual is max |(H - E) psi| over the grid interior, in units of
     (hbar * cyclotron frequency) times the interior sup of |psi| — invariant
     under rescaling either the state or the unit system. Raises
-    ResolutionError when the grid step exceeds magnetic_length/8.
+    ResolutionError when the grid step exceeds magnetic_length/8, or when
+    that unit is not a normal float (the field B lies far from 1).
     """
     _check_resolution(spec, state, margin=2)
-    defect = apply_hamiltonian(spec, gauge, state) - energy * state.values
     interior = (slice(2, -2), slice(2, -2))
-    scale = spec.hbar * spec.cyclotron_frequency * np.abs(state.values[interior]).max()
+    # A Python float product overflows to inf without a warning.
+    scale = spec.hbar * spec.cyclotron_frequency * float(np.abs(state.values[interior]).max())
+    _check_scale(spec, scale, "residual scale hbar * cyclotron_frequency * max|psi|")
+    defect = apply_hamiltonian(spec, gauge, state) - energy * state.values
     return float(np.abs(defect[interior]).max() / scale)
 
 
@@ -438,7 +450,8 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     test state and compares the antisymmetric part with its exact constant
     value. Normalized by the sup of the two double applications, so the
     figure is dimensionless and meaningful even at B = 0, where the exact
-    commutator vanishes. Only the interior (four cells in) is compared.
+    commutator vanishes. Only the interior (four cells in) is compared. A
+    sup that is not a normal float raises ResolutionError naming B.
     """
     _check_resolution(spec, test_state, margin=4)
     A_x, A_y = gauge.vector_potential(test_state.x[:, None], test_state.y)
@@ -457,8 +470,7 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     target = 1j * hbar * (q / c) * gauge.B * psi
     interior = (slice(4, -4), slice(4, -4))
     scale = (np.abs(forward[interior]) + np.abs(backward[interior])).max()
-    if scale == 0:
-        raise ValueError("test state is too trivial to probe the commutator")
+    _check_scale(spec, scale, "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)")
     defect = forward - backward - target
     return float(np.abs(defect[interior]).max() / scale)
 

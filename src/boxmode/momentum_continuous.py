@@ -26,9 +26,13 @@ from .well import Eigenfunction, WellSpec
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniform, symmetric momentum grid with an odd number of points.
+    """Uniform momentum grid with an odd number of points, exactly antisymmetric.
 
-    Odd counts sample p = 0 and ±p_max exactly; counts past ``SAMPLE_BUDGET`` raise.
+    ``points`` is ``np.linspace(-p_max, p_max, count)``'s negative half, bit
+    for bit, and its mirror: points[::-1] == -points, the centre is +0.0 and
+    ±p_max are exact. So every row of a box transform on this grid pairs with
+    its negative and is built once (``_in_row_blocks``). Counts past
+    ``SAMPLE_BUDGET`` raise.
     """
 
     p_max: float
@@ -42,7 +46,10 @@ class MomentumGrid:
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(-self.p_max, self.p_max, self.count)
+        # linspace(-p_max, p_max, count) takes the same step, p_max / (count // 2),
+        # but its centre, (count // 2) * step - p_max, need not be 0.
+        negative = np.linspace(-self.p_max, 0.0, self.count // 2 + 1)
+        return np.concatenate((negative, -negative[-2::-1]))
 
 
 def default_grid(spec: WellSpec, n: int) -> MomentumGrid:
@@ -90,9 +97,11 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
     the other rows; its rows are multiplied for the + row, conjugated in
     place and multiplied again for the - row. Each negative row pairs with at
     most one positive row, and every other row is built and multiplied once,
-    as it stands. The built rows are padded to whole steps with the last of
-    them, and the conjugated products run in whole steps, so up to step - 1
-    rows after the shared ones pass through them and are dropped. A gemv row
+    as it stands. Every row of a ``MomentumGrid`` pairs but its +0.0 centre,
+    so count // 2 + 1 rows are built. The built rows are padded to whole
+    steps with the last of them, and the conjugated products run in whole
+    steps, so up to step - 1 rows after the shared ones pass through them
+    and are dropped. A gemv row
     does not depend on its neighbours, so each value is bitwise independent
     of the blocking and the order; fewer than two rows keep numpy's direct
     product, whose single-row path rounds differently from gemv.
@@ -167,7 +176,8 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     (``_in_row_blocks``), so memory stays bounded for any number of momenta.
     Since kernel(-p) == conj(kernel(p)) bit for bit, a |p| asked with both
     signs is built once and its conjugate serves the negative row; only
-    exact pairs share, so every value equals the one-shot product's.
+    exact pairs share, so every value equals the one-shot product's. Every
+    row of a ``MomentumGrid`` pairs, so its transform builds half the rows.
     A scalar p gives a complex scalar, an array p an array of the same shape;
     a non-finite p raises ``ValueError``.
     """

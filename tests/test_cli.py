@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from boxmode import (
+    Eigenfunction,
     LandauSpec,
     ResolutionError,
     WellSpec,
@@ -230,8 +231,8 @@ def test_invalid_requests_return_two_without_output(tmp_path, argv, capsys):
         ),
         # Once "x axis must be 1-D with at least 5 points", an axis never passed.
         (
-            ("landau", "state", "--field", "1e-300"),
-            "error: B=1e-300 puts fewer than 5 points on an axis of the default 10.0 x 10.0",
+            ("landau", "state", "--field", "1e-200"),
+            "error: B=1e-200 puts fewer than 5 points on an axis of the default 10.0 x 10.0",
         ),
     ],
     ids=["flux-overflows", "flux-overflows-in-a-strong-field", "flux-underflows", "coarse-grid"],
@@ -242,11 +243,60 @@ def test_landau_flags_past_the_flux_and_grid_rules_are_named(tmp_path, capsys, a
     assert not (tmp_path / "sub").exists()
 
 
+RESIDUAL_SCALE = "residual scale hbar * cyclotron_frequency * max|psi|"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Once a RuntimeWarning, then "test state is too trivial to probe the commutator".
+        (("landau", "checks", "--field", "1e-300"), f"B=1e-300 puts the {RESIDUAL_SCALE} = 0 "),
+        # Once a RuntimeWarning, then the coarse default grid's message.
+        (("landau", "state", "--field", "1e-300"), f"B=1e-300 puts the {RESIDUAL_SCALE} = 0 "),
+        # Once exit 1 with a nan eigenvalue residual and a CSV.
+        (
+            ("landau", "state", "--gauge", "symmetric", "--field", "1e-300"),
+            f"B=1e-300 puts the {RESIDUAL_SCALE} = 0 ",
+        ),
+        # The scale is subnormal, not 0.
+        (
+            ("landau", "checks", "--field", "1e-210"),
+            f"B=1e-210 puts the {RESIDUAL_SCALE} = 3.69829e-316 ",
+        ),
+        # Once overflow warnings and nine FAIL lines reading nan.
+        (("landau", "checks", "--field", "1e300"), f"B=1e+300 puts the {RESIDUAL_SCALE} = inf "),
+    ],
+    ids=["checks-underflow", "state-underflow", "ring-underflow", "subnormal", "overflow"],
+)
+def test_landau_residual_scale_outside_the_floats_is_named(tmp_path, capsys, argv, message):
+    assert run_in(tmp_path / "sub", *argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
 def test_vanishing_window_is_named(tmp_path, capsys):
     # p +- 1e-300 rounds to p: the error names the window, not an empty interval.
     assert run_in(tmp_path / "sub", "momentum", "compare", "--window", "1e-300") == 2
     assert "error: window_half_width 1e-300 vanishes" in capsys.readouterr().err
     assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parity_phase_fails_for_a_shifted_state(tmp_path, capsys, monkeypatch, n):
+    """A state shifted by 1e-6 a has no definite parity: its amplitude gains
+    an off-parity component of about 1e-6 of its peak, past the 1e-12 limit."""
+
+    class Shifted(Eigenfunction):
+        def __call__(self, x):
+            return super().__call__(np.asarray(x) - 1e-6 * self.spec.half_width)
+
+    assert run_in(tmp_path / "good", "momentum", "continuous", "--n", str(n)) == 0
+    assert "CHECK parity-phase: PASS" in capsys.readouterr().out
+    monkeypatch.setattr("boxmode.momentum_continuous.Eigenfunction", Shifted)
+    assert run_in(tmp_path / "shifted", "momentum", "continuous", "--n", str(n)) == 1
+    line = re.search(r"CHECK parity-phase: FAIL \(residual=(\S+)\)", capsys.readouterr().out)
+    assert 1e-7 < float(line[1]) < 1e-5
 
 
 def test_momentum_continuous_past_node_budget(tmp_path, capsys):

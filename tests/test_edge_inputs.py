@@ -47,7 +47,13 @@ from boxmode.cli import (
     cmd_momentum_discrete,
     cmd_well_energies,
 )
-from boxmode.landau import ridge_residual, ring_residual
+from boxmode.landau import (
+    commutator_check,
+    gaussian_test_state,
+    landau_gauge,
+    ridge_residual,
+    ring_residual,
+)
 
 WELL = WellSpec()
 LANDAU = LandauSpec()
@@ -239,6 +245,44 @@ RANGE_RULES = [
             ("ratio overflows", {"B": 1e300, "hbar": 1e-300}, "B=1e+300, Lx=10.0 and Ly=10.0"),
             ("ratio is subnormal", {"B": 1e-10, "hbar": 1e300}, "B=1e-10, Lx=10.0 and Ly=10.0"),
         )
+    ),
+    # A residual divides by a scale that must be a normal float: once a
+    # RuntimeWarning and a nan residual, or "test state is too trivial".
+    *(
+        (
+            f"{label} scale at B={B}",
+            lambda call=call, spec=LandauSpec(B=B): call(spec),
+            ResolutionError,
+            f"B={B} puts the {what} = {scale} ",
+        )
+        for label, call, what in (
+            (
+                "ridge residual",
+                lambda spec: ridge_residual(spec, 0, spec.probe_momentum),
+                "residual scale hbar * cyclotron_frequency * max|psi|",
+            ),
+            (
+                "ring residual",
+                lambda spec: ring_residual(spec, 0, 1),
+                "residual scale hbar * cyclotron_frequency * max|psi|",
+            ),
+            (
+                "commutator",
+                lambda spec: commutator_check(
+                    spec, landau_gauge(spec.B), gaussian_test_state(spec)
+                ),
+                "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)",
+            ),
+        )
+        for B, scale in ((1e-300, "0"), (1e300, "inf"))
+        # At 1e300 the commutator's products warn of overflow before it raises.
+        if not (label == "commutator" and B == 1e300)
+    ),
+    (
+        "subnormal ridge residual scale",
+        lambda: ridge_residual(LandauSpec(B=1e-210), 0, 0.0),
+        ResolutionError,
+        "B=1e-210 puts the residual scale hbar * cyclotron_frequency * max|psi| = 3.69829e-316 ",
     ),
 ]
 

@@ -22,6 +22,7 @@ from boxmode import (
     spectrum,
     uncertainty_product,
 )
+from boxmode.cli import run
 from boxmode.momentum_continuous import KERNEL_ROWS, _plane_waves
 from boxmode.quadrature import bandwidth_order
 
@@ -116,6 +117,62 @@ def test_default_grid_shape(spec):
     assert grid.points[0] == -grid.p_max
     assert grid.points[-1] == grid.p_max
     assert grid.points[grid.count // 2] == 0.0
+
+
+# Every default grid for n = 1..20 in three unit systems, the far-field
+# leaf's probe span, and scales from the subnormal edge to the overflow edge.
+GRID_SPECS = (WellSpec(), WellSpec(half_width=2.5, mass=3.0, hbar=0.7), WellSpec(0.7, hbar=1.3))
+GRID_SPANS = [
+    *(default_grid(s, n).p_max for s in GRID_SPECS for n in range(1, 21)),
+    *(6.0 * s.spike_momentum(n) for s in GRID_SPECS for n in (1, 2, 3)),
+    1.0, 0.1, 32.75, 1e-300, 1e300,
+]
+
+
+@pytest.mark.parametrize("count", [3, 5, 17, 4001, 20001])
+def test_grid_is_linspace_negative_half_mirrored(count):
+    """points[::-1] == -points, the centre is +0.0 and the ends are -+p_max
+    exactly; the first count // 2 points are linspace's, bit for bit. Nonzero
+    floats compare equal only when their bits are equal."""
+    half = count // 2
+    for p_max in GRID_SPANS:
+        points = MomentumGrid(p_max, count).points
+        assert points.shape == (count,)
+        assert np.array_equal(points[::-1], -points)
+        assert points[half] == 0.0 and not np.signbit(points[half])
+        assert points[0] == -p_max and points[-1] == p_max
+        linspace = np.linspace(-p_max, p_max, count)
+        assert points[:half].tobytes() == linspace[:half].tobytes()
+    # linspace's 2 p_max overflows here; the negative half's span does not.
+    top = np.finfo(float).max
+    points = MomentumGrid(top, count).points
+    assert np.array_equal(points[::-1], -points) and points[-1] == top
+    assert np.isfinite(points).all()
+
+
+def spy_on_plane_waves(monkeypatch):
+    """Patch ``_plane_waves`` to record the rows it builds; returns the list."""
+    asked = []
+
+    def counting(rows, x, hbar, out):
+        asked.append(rows.copy())
+        return _plane_waves(rows, x, hbar, out)
+
+    monkeypatch.setattr(momentum_continuous, "_plane_waves", counting)
+    return asked
+
+
+@pytest.mark.parametrize("n", [1, 5, 14, 20])
+def test_default_spectrum_builds_half_the_rows(spec, monkeypatch, n):
+    """All 2,000 nonzero rows of a default grid pair with their negatives, so
+    2,001 kernel rows are built, padded to whole product steps (15 rows at
+    256 nodes, 10 at 374), and the amplitude is exactly Hermitian."""
+    asked = spy_on_plane_waves(monkeypatch)
+    amp = spectrum(spec, n).amplitude
+    asked = np.concatenate(asked)
+    assert np.array_equal(np.unique(asked), default_grid(spec, n).points[2000:])
+    assert 0 <= asked.size - 2001 < 15
+    assert np.array_equal(amp[::-1], np.conj(amp))
 
 
 def test_trapezoid_norm_frozen(spec):
@@ -326,20 +383,24 @@ def test_zero_node_grid_takes_the_odd_rule():
 
 
 def test_farfield_builds_one_kernel_row_per_distinct_magnitude(spec, monkeypatch):
-    """The far field's probe grid has 1,433 distinct |p| among its 2,001
+    """np.linspace's 2,001-point probe grid has 1,433 distinct |p| among its
     rows; only those are built, padded to whole 15-row product steps."""
-    asked = []
-
-    def counting(rows, x, hbar, out):
-        asked.append(rows.copy())
-        return _plane_waves(rows, x, hbar, out)
-
-    monkeypatch.setattr(momentum_continuous, "_plane_waves", counting)
+    asked = spy_on_plane_waves(monkeypatch)
     p = np.linspace(-3.0 * np.pi, 3.0 * np.pi, 2001)
     farfield_map(spec, 1, 50.0, p)
     asked = np.concatenate(asked)
     assert np.unique(asked).size == np.unique(np.abs(p)).size == 1433
     assert asked.size == 1440
+
+
+def test_farfield_leaf_builds_half_its_probe_rows(tmp_path, monkeypatch):
+    """The leaf's 2,001 probes are a MomentumGrid: 1,001 kernel rows, padded
+    to whole 15-row product steps, serve them all."""
+    asked = spy_on_plane_waves(monkeypatch)
+    assert run(["release", "farfield", "--n", "2", "--t", "50", "--out", str(tmp_path)]) == 0
+    asked = np.concatenate(asked)
+    assert np.unique(asked).size == 1001
+    assert asked.size == 1005
 
 
 @pytest.mark.parametrize("hbar", [1.0, 1.3, 1.0545718e-34])

@@ -75,7 +75,12 @@ The ops:
   ``landau degeneracy --field 1e300 --edge-x 1e10`` and ``landau hall
   --edge-x 1e-300 --edge-y 1e-300``, and ``landau state --field 1e-300``,
   whose default rectangle holds fewer than 5 points an axis: each exits 2
-  naming B, Lx and Ly or the field and the rectangle.
+  naming B, Lx and Ly or the field and the rectangle;
+* after them, ``momentum continuous --count`` 3 and 5 and ``release farfield
+  --n 2 --t 50``, the smallest mirrored momentum grids and a far field
+  whose amplitudes are imaginary; and ``landau checks --field`` 1e-300 and
+  1e300 and ``landau state --gauge symmetric --field 1e-300``, whose residual
+  scale leaves the normal floats.
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -215,6 +220,18 @@ FLUX_OPS = (
     ("landau", "state", "--field", "1e-300"),
 )
 
+GRID_OPS = (
+    ("momentum", "continuous", "--count", "3"),
+    ("momentum", "continuous", "--count", "5"),
+    ("release", "farfield", "--n", "2", "--t", "50"),
+)
+
+SCALE_OPS = (
+    ("landau", "checks", "--field", "1e-300"),
+    ("landau", "checks", "--field", "1e300"),
+    ("landau", "state", "--gauge", "symmetric", "--field", "1e-300"),
+)
+
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
@@ -247,7 +264,7 @@ def audit_ops(configs: Path) -> list[list[str]]:
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]
-    return ops + [list(op) for op in FLUX_OPS]
+    return ops + [list(op) for op in (*FLUX_OPS, *GRID_OPS, *SCALE_OPS)]
 
 
 def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:

@@ -30,8 +30,8 @@ class MomentumGrid:
 
     ``points`` is ``np.linspace(-p_max, p_max, count)``'s negative half, bit
     for bit, and its mirror: points[::-1] == -points, the centre is +0.0 and
-    ±p_max are exact. So every row of a box transform on this grid pairs with
-    its negative and is built once (``_in_row_blocks``). Counts past
+    ±p_max are exact. So a box transform on it builds count // 2 + 1 kernel
+    rows, one per distinct |p| (``_in_row_blocks``). Counts past
     ``SAMPLE_BUDGET`` raise.
     """
 
@@ -91,17 +91,10 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
     spins; ``step = max(2, 4095 // nodes)`` rows stay below that.
 
     ``kernel`` must satisfy kernel(-p) == conj(kernel(p)) bit for bit, signed
-    zeros included, as ``_plane_waves`` and its real multiples do. So a
-    magnitude that occurs with both signs (exactly: ``np.signbit`` splits the
-    rows, |p| must be equal, -0.0 pairs with +0.0) is built once, ahead of
-    the other rows; its rows are multiplied for the + row, conjugated in
-    place and multiplied again for the - row. Each negative row pairs with at
-    most one positive row, and every other row is built and multiplied once,
-    as it stands. Every row of a ``MomentumGrid`` pairs but its +0.0 centre,
-    so count // 2 + 1 rows are built. The built rows are padded to whole
-    steps with the last of them, and the conjugated products run in whole
-    steps, so up to step - 1 rows after the shared ones pass through them
-    and are dropped. A gemv row
+    zeros included, as ``_plane_waves`` and its real multiples do. So one
+    row is built per distinct |p|, padded with the largest to whole steps:
+    its block is multiplied for +|p| and, if some row with ``np.signbit``
+    needs it, conjugated in place and multiplied again for -|p|. A gemv row
     does not depend on its neighbours, so each value is bitwise independent
     of the blocking and the order; fewer than two rows keep numpy's direct
     product, whose single-row path rounds differently from gemv.
@@ -110,18 +103,13 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
         return kernel(rows, np.empty((rows.size, weighted.size), dtype=complex)) @ weighted
     step = max(2, 4095 // weighted.size)
     span = step * (KERNEL_ROWS // step)
-    neg = np.signbit(rows)
-    minus_at, plus_at = np.flatnonzero(neg), np.flatnonzero(~neg)
-    shared, i, j = np.intersect1d(rows[plus_at], -rows[minus_at], return_indices=True)
-    plus_rows, minus_rows = plus_at[i], minus_at[j]
-    single = np.ones(rows.size, dtype=bool)
-    single[minus_rows] = False
-    single[plus_rows] = False
-    built = np.concatenate([shared, rows[single]])
-    padded = np.concatenate([built, np.full(-built.size % step, built[-1])])
-    mirrored = -(-shared.size // step) * step
+    magnitudes, inverse = np.unique(np.abs(rows), return_inverse=True)
+    padded = np.concatenate([magnitudes, np.full(-magnitudes.size % step, magnitudes[-1])])
+    negative = np.signbit(rows)
+    conjugated = np.zeros(padded.size, dtype=bool)
+    conjugated[inverse[negative]] = True
     plus = np.empty(padded.size, dtype=complex)
-    minus = np.empty(mirrored, dtype=complex)
+    minus = np.empty(padded.size, dtype=complex)
     buffer = np.empty((min(span, padded.size), weighted.size), dtype=complex)
 
     def stacked(block):
@@ -131,35 +119,29 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
         chunk = padded[start : start + span]
         block = kernel(chunk, buffer[: chunk.size])
         plus[start : start + span] = stacked(block)
-        block = block[: max(mirrored - start, 0)]
-        if block.size:
+        if conjugated[start : start + span].any():
             np.conjugate(block, out=block)
             minus[start : start + span] = stacked(block)
-    out = np.empty(rows.size, dtype=complex)
-    out[plus_rows] = plus[: shared.size]
-    out[minus_rows] = minus[: shared.size]
-    out[single] = plus[shared.size : built.size]
-    return out
+    return np.where(negative, minus[inverse], plus[inverse])
 
 
 def _plane_waves(rows: np.ndarray, x: np.ndarray, hbar: float, out: np.ndarray) -> np.ndarray:
     """The kernel exp(-i outer(rows, x) / hbar) for antisymmetric nodes x,
     written into ``out``, a (rows.size, x.size) complex array, and returned.
 
-    ``cos`` and ``sin`` are taken on the non-negative half of x only, and the
-    other half is their complex conjugate, mirrored. Mapped Gauss-Legendre
-    nodes on [-a, a] satisfy x[::-1] == -x exactly, ``cos`` is exactly even,
-    ``sin`` exactly odd, and numpy's complex exp(0 - i theta) is bitwise
-    (cos theta, -sin theta), so the kernel equals the one-shot ``np.exp``
-    byte for byte. The phase is scaled by 1 / hbar, as the complex quotient
-    by hbar scales it.
+    ``cos`` and ``sin`` are taken on the negated non-negative half of x
+    only, straight into the real and imaginary parts, and the other half is
+    their complex conjugate, mirrored. Mapped Gauss-Legendre nodes on [-a, a]
+    satisfy x[::-1] == -x exactly, ``cos`` is exactly even, ``sin`` exactly
+    odd, and numpy's complex exp(0 - i theta) is bitwise (cos theta, -sin
+    theta), so the kernel equals the one-shot ``np.exp`` byte for byte. The
+    phase is scaled by 1 / hbar, as the complex quotient by hbar scales it.
     """
     half = x.size // 2
-    theta = np.outer(rows, x[half:])
+    theta = np.outer(rows, -x[half:])
     theta *= 1.0 / hbar
     np.cos(theta, out=out.real[:, half:])
-    np.sin(theta, out=theta)
-    np.negative(theta, out=out.imag[:, half:])
+    np.sin(theta, out=out.imag[:, half:])
     np.conjugate(out[:, : -half - 1 : -1], out=out[:, :half])
     return out
 
@@ -174,12 +156,9 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     of the nodes (``_plane_waves``) and applied in row blocks, each as a
     stack of products small enough to stay on the calling thread
     (``_in_row_blocks``), so memory stays bounded for any number of momenta.
-    Since kernel(-p) == conj(kernel(p)) bit for bit, a |p| asked with both
-    signs is built once and its conjugate serves the negative row; only
-    exact pairs share, so every value equals the one-shot product's. Every
-    row of a ``MomentumGrid`` pairs, so its transform builds half the rows.
-    A scalar p gives a complex scalar, an array p an array of the same shape;
-    a non-finite p raises ``ValueError``.
+    One row is built per distinct |p| and serves both signs, and every value
+    equals the one-shot product's. A scalar p gives a complex scalar, an
+    array p an array of the same shape; a non-finite p raises ``ValueError``.
     """
     a = spec.half_width
     p_arr = np.asarray(p, dtype=float)

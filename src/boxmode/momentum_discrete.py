@@ -105,11 +105,9 @@ def expand(
     is rejected instead. The ladder x nodes kernel is built from cos and sin
     on the non-negative half of the nodes (``_plane_waves``) and applied in
     row blocks of small products by the transforms' one rule
-    (``_in_row_blocks``), so memory stays bounded for any k_max. The kernel
-    obeys kernel(-p) == conj(kernel(p)) bit for bit, so each rung pair of
-    exactly opposite momenta (k and -k on the integer ladder, k and -k-1 on
-    the half-integer one) is built once; the coefficients equal the
-    one-shot product's.
+    (``_in_row_blocks``), so memory stays bounded for any k_max: one row per
+    distinct |p| serves both signs, and the coefficients equal the one-shot
+    product's.
     """
     a = spec.half_width
     ks, momenta = allowed_momenta(spec, phase, k_max)

@@ -328,11 +328,13 @@ def test_blocked_farfield_is_bitwise_one_shot(spec, count):
     assert farfield_map(spec, 2, t, 1.5) == scalar
 
 
-# Grids for the kernel(-p) == conj(kernel(p)) sharing: every row paired; no
-# row paired; signed zeros and repeats (-0.0 pairs with +0.0, each negative
-# row with one positive row, the rest built alone); 130 pairs, more than a
-# 120-row block, whose partners sit 330 rows apart; and a whole grid
-# on the odd, 257-node rule, whose middle node is 0.
+# Grids for the kernel(-p) == conj(kernel(p)) sharing: every |p| asked with
+# both signs; every |p| with one; signed zeros and repeats, all of a
+# magnitude's rows served by one built row; 130 |p| asked with both signs,
+# the two rows 330 apart and more than a 120-row block of magnitudes; a
+# whole grid on the odd, 257-node rule, whose middle node is 0; repeats on
+# one sign only; every row negative, so every block serves only negative
+# rows; and -0.0 without +0.0.
 _HALVES = 0.5 * np.arange(1.0, 131.0)
 MIRROR_GRIDS = {
     "fully-paired": 0.75 * np.arange(-120.0, 121.0),
@@ -342,8 +344,9 @@ MIRROR_GRIDS = {
     ),
     "partners-blocks-apart": np.concatenate([_HALVES, 0.3 + 0.41 * np.arange(200.0), -_HALVES]),
     "zero-node-257": 0.5 * np.arange(-863.0, 864.0),
-    # Repeats on one sign only: the pair search may take any of the -2.0 rows.
     "one-sided-repeats": np.array([-2.0, -2.0, -2.0, 2.0, 0.5, 0.5, -0.5]),
+    "all-negative": -0.3 - 0.45 * np.arange(200.0),
+    "negative-zero-alone": np.array([-0.0, 1.25, -2.5, 3.0, -0.0, -1.25]),
 }
 MIRROR_SPECS = {"natural": WellSpec(), "custom": WellSpec(half_width=2.5, mass=0.7, hbar=1.3)}
 MIRROR_CASES = [
@@ -355,8 +358,8 @@ MIRROR_CASES = [
 
 @pytest.mark.parametrize("spec, p", MIRROR_CASES)
 def test_mirrored_rows_are_bitwise_one_shot(spec, p):
-    """Shared cos/sin rows change no bit of the transform or the far field,
-    for a 1-D grid and for a 2-D array of it and its reverse."""
+    """One cos/sin row per distinct |p| changes no bit of the transform or the
+    far field, for a 1-D grid and for a 2-D array of it and its reverse."""
     psi = Eigenfunction(spec, 3)
     radians = psi.wavenumber * spec.half_width
     expected = one_shot_transform(spec, psi, p, radians)
@@ -372,6 +375,21 @@ def test_mirrored_rows_are_bitwise_one_shot(spec, p):
     radians += a * (spec.mass * a / t) / spec.hbar
     expected = np.abs(one_shot_transform(spec, chirped, p, radians)) ** 2
     assert farfield_map(spec, 3, t, p).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, built", [("signed-zeros-and-repeats", 5), ("one-sided-repeats", 2)]
+)
+def test_transform_builds_one_row_per_distinct_magnitude(spec, monkeypatch, name, built):
+    """Only +|p| rows are built, one per distinct |p|: each sign and repeat of
+    a magnitude takes its product from that row."""
+    asked = spy_on_plane_waves(monkeypatch)
+    p = MIRROR_GRIDS[name]
+    amplitude_transform(spec, 3, p)
+    asked = np.concatenate(asked)
+    assert not np.signbit(asked).any()
+    assert np.array_equal(np.unique(asked), np.unique(np.abs(p)))
+    assert np.unique(asked).size == built
 
 
 def test_zero_node_grid_takes_the_odd_rule():

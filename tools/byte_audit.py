@@ -7,8 +7,16 @@ Each checkout runs every op in one subprocess of its own, through
 ``boxmode.cli.run``, with each op writing into a fresh directory. The audit
 then compares, op by op, the exit code, stdout, stderr and the SHA-256 of
 every CSV written. The checkout's own path is replaced by ``<checkout>`` in
-stdout and stderr, so tracebacks and warnings compare by file and line. It
-prints one line per difference and a summary, and exits 1 on any difference.
+stdout and stderr, so tracebacks and warnings compare by file and line.
+
+Both checkouts run once under each of three configurations, set in the
+audit's own subprocesses only: the default; ``OPENBLAS_CORETYPE=Prescott``,
+OpenBLAS's SSE kernels without FMA; and ``NPY_DISABLE_CPU_FEATURES``, numpy
+without its AVX-512 loops. Parent and change are compared within each
+configuration: the audit prints one line per difference and a summary per
+configuration, and exits 1 on any difference. The ops whose bytes differ
+between a configuration and the default, on the change side, are printed
+after that as information; they are no failure.
 
 The ops:
 
@@ -126,6 +134,13 @@ hbar = 1.3
     "unknown-section": "[wel]\nhbar = 0.7\n",
     "units-key": "units = custom\n[well]\nhbar = 0.7\n",
     "misplaced-key": "[well]\ndigits = 9\n",
+}
+
+# Configuration name -> the environment variables its subprocesses add.
+ENVIRONMENTS = {
+    "default": {},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
 }
 
 DIGIT_OPS = (
@@ -322,25 +337,46 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     checkouts = [Path(a).resolve() for a in argv]
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="byte_audit_") as scratch:
         scratch = Path(scratch)
         for name, text in CONFIGS.items():
             (scratch / f"{name}.cfg").write_text(text, encoding="utf-8")
         ops_file = scratch / "ops.json"
         ops_file.write_text(json.dumps(audit_ops(scratch)), encoding="utf-8")
-        runs = []
-        for side, checkout in zip(("parent", "change"), checkouts):
-            work = scratch / side
-            work.mkdir()
-            command = [sys.executable, str(Path(__file__).resolve()), "--run", str(checkout)]
-            subprocess.run([*command, str(ops_file), str(work)], check=True)
-            runs.append(json.loads((work / "records.json").read_text(encoding="utf-8")))
-    found = differences(*runs)
-    for line in found:
-        print(line)
-    csvs = sum(len(record["csv"]) for record in runs[1])
-    print(f"{len(runs[1])} ops, {csvs} CSVs: {len(found)} differences")
-    return 1 if found else 0
+        command = [sys.executable, str(Path(__file__).resolve()), "--run"]
+        for environment, settings in ENVIRONMENTS.items():
+            for side, checkout in zip(("parent", "change"), checkouts):
+                work = scratch / environment / side
+                work.mkdir(parents=True)
+                subprocess.run(
+                    [*command, str(checkout), str(ops_file), str(work)],
+                    check=True,
+                    env={**os.environ, **settings},
+                )
+                runs[environment, side] = json.loads(
+                    (work / "records.json").read_text(encoding="utf-8")
+                )
+    failed = False
+    for environment in ENVIRONMENTS:
+        found = differences(runs[environment, "parent"], runs[environment, "change"])
+        for line in found:
+            print(f"{environment}: {line}")
+        change = runs[environment, "change"]
+        csvs = sum(len(record["csv"]) for record in change)
+        print(f"{environment}: {len(change)} ops, {csvs} CSVs: {len(found)} differences")
+        failed = failed or bool(found)
+    reference = runs["default", "change"]
+    for environment in list(ENVIRONMENTS)[1:]:
+        moved = [
+            " ".join(old["argv"])
+            for old, new in zip(reference, runs[environment, "change"])
+            if differences([old], [new])
+        ]
+        print(f"information: {len(moved)} ops differ between {environment} and default")
+        for op in moved:
+            print(f"information:   {op}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -450,12 +450,20 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     test state and compares the antisymmetric part with its exact constant
     value. Normalized by the sup of the two double applications, so the
     figure is dimensionless and meaningful even at B = 0, where the exact
-    commutator vanishes. Only the interior (four cells in) is compared. A
-    sup that is not a normal float raises ResolutionError naming B.
+    commutator vanishes. Only the interior (four cells in) is compared.
+    Before any product, the commutator's own size hbar |charge| B / c times
+    the interior sup of |psi|, with the spec's B even for a zero-field
+    gauge, must be a normal float, or ResolutionError names B: past it the
+    products overflow or the sup underflows. So must the sup it divides by.
     """
     _check_resolution(spec, test_state, margin=4)
-    A_x, A_y = gauge.vector_potential(test_state.x[:, None], test_state.y)
     hbar, q, c = spec.hbar, spec.charge, spec.light_speed
+    interior = (slice(4, -4), slice(4, -4))
+    psi = test_state.values
+    # A Python float product overflows to inf without a warning.
+    unit = hbar * abs(q) * spec.B / c * float(np.abs(psi[interior]).max())
+    _check_scale(spec, unit, "commutator scale hbar * |charge| * B / c * max|psi|")
+    A_x, A_y = gauge.vector_potential(test_state.x[:, None], test_state.y)
     dx, dy = test_state.dx, test_state.dy
 
     def pi_x(f):
@@ -464,11 +472,9 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     def pi_y(f):
         return -1j * hbar * _derivative1(f, dy, 1) - (q / c) * A_y * f
 
-    psi = test_state.values
     forward = pi_x(pi_y(psi))
     backward = pi_y(pi_x(psi))
     target = 1j * hbar * (q / c) * gauge.B * psi
-    interior = (slice(4, -4), slice(4, -4))
     scale = (np.abs(forward[interior]) + np.abs(backward[interior])).max()
     _check_scale(spec, scale, "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)")
     defect = forward - backward - target

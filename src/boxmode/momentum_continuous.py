@@ -77,31 +77,58 @@ def amplitude_transform(spec: WellSpec, n: int, p):
 # the products, and 4 MiB at the 2048-node budget, however many momenta are asked.
 KERNEL_ROWS = 128
 
+# The largest kernel table kept for the next transform: 2 MiB holds the far-field
+# ladder's (1,005 rows of 128 half-nodes, 1.96 MiB), whose rungs repeat it, and
+# not a default 4,001-point spectrum's (3.93 MiB), so what stays behind is bounded
+# whatever the number of momenta.
+_MEMO_BYTES = 2 * 2**20
 
-def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray:
-    """``kernel(rows) @ weighted``, the kernel built about KERNEL_ROWS rows at a
-    time and each block multiplied as a stack of ``step``-row gemv products.
+# The last kept kernel table, {(magnitudes, nodes, hbar) as bytes: table}, at most
+# one entry. A table enters it complete and is never written again, so a
+# transform in another thread that holds one still reads the right rows.
+_memo: dict = {}
 
-    ``kernel(rows, out)`` fills ``out``, a (rows.size, nodes) complex array,
-    with the kernel's rows and returns it. One such buffer serves every
-    block: a fresh 0.5 MiB block per step let glibc hand its pages back and
-    fault them in again, about 3,000 minor faults per 4,001-row transform in
-    some heap states. From 4,096 complex entries (16 rows at 256 nodes, 11 at
-    374) OpenBLAS runs a product on its thread pool, whose idle thread then
-    spins; ``step = max(2, 4095 // nodes)`` rows stay below that.
 
-    ``kernel`` must satisfy kernel(-p) == conj(kernel(p)) bit for bit, signed
-    zeros included, as ``_plane_waves`` and its real multiples do. So one
-    row is built per distinct |p|, padded with the largest to whole steps:
-    its block is multiplied for +|p| and, if some row with ``np.signbit``
-    needs it, conjugated in place and multiplied again for -|p|. A gemv row
-    does not depend on its neighbours, so each value is bitwise independent
-    of the blocking and the order; fewer than two rows keep numpy's direct
+def _in_row_blocks(
+    rows: np.ndarray,
+    x: np.ndarray,
+    hbar: float,
+    weighted: np.ndarray,
+    divisor: float | None = None,
+) -> np.ndarray:
+    """``kernel(rows) @ weighted`` for the kernel exp(-i outer(rows, x) / hbar),
+    divided by ``divisor`` when one is given, built about KERNEL_ROWS rows at
+    a time and each block multiplied as a stack of ``step``-row gemv products.
+
+    One buffer serves every block: a fresh 0.5 MiB block per step let glibc
+    hand its pages back and fault them in again, about 3,000 minor faults per
+    4,001-row transform in some heap states. From 4,096 complex entries (16
+    rows at 256 nodes, 11 at 374) OpenBLAS runs a product on its thread pool,
+    whose idle thread then spins; ``step = max(2, 4095 // nodes)`` rows stay
+    below that.
+
+    The kernel satisfies kernel(-p) == conj(kernel(p)) bit for bit, signed
+    zeros included, and so does its quotient by a real divisor. So one row
+    is built per distinct |p|, padded with the largest to whole steps: its
+    block is multiplied for +|p| and, if some row with ``np.signbit`` needs
+    it, conjugated in place and multiplied again for -|p|. A gemv row does
+    not depend on its neighbours, so each value is bitwise independent of
+    the blocking and the order; fewer than two rows keep numpy's direct
     product, whose single-row path rounds differently from gemv.
+
+    The right halves that ``_plane_waves`` computes are kept, read-only, for
+    the next call whose padded magnitudes, nodes and hbar have the same
+    bytes, if they fit in ``_MEMO_BYTES``; that call copies them into the
+    buffer and mirrors their conjugate instead of calling ``_plane_waves``.
+    They are taken before the division, so a divisor needs no place in the
+    key. Any other call drops the kept table.
     """
     if rows.size < 2:
-        return kernel(rows, np.empty((rows.size, weighted.size), dtype=complex)) @ weighted
-    step = max(2, 4095 // weighted.size)
+        block = _plane_waves(rows, x, hbar, np.empty((rows.size, x.size), dtype=complex))
+        if divisor is not None:
+            block /= divisor
+        return block @ weighted
+    step = max(2, 4095 // x.size)
     span = step * (KERNEL_ROWS // step)
     magnitudes, inverse = np.unique(np.abs(rows), return_inverse=True)
     padded = np.concatenate([magnitudes, np.full(-magnitudes.size % step, magnitudes[-1])])
@@ -110,18 +137,38 @@ def _in_row_blocks(rows: np.ndarray, kernel, weighted: np.ndarray) -> np.ndarray
     conjugated[inverse[negative]] = True
     plus = np.empty(padded.size, dtype=complex)
     minus = np.empty(padded.size, dtype=complex)
-    buffer = np.empty((min(span, padded.size), weighted.size), dtype=complex)
+    buffer = np.empty((min(span, padded.size), x.size), dtype=complex)
+    half = x.size // 2
+    key = (padded.tobytes(), x.tobytes(), np.float64(hbar).tobytes())
+    kept = _memo.get(key)
+    fresh = None
+    if kept is None:
+        _memo.clear()
+        if padded.size * (x.size - half) * buffer.itemsize <= _MEMO_BYTES:
+            fresh = np.empty((padded.size, x.size - half), dtype=complex)
 
     def stacked(block):
-        return (block.reshape(-1, step, weighted.size) @ weighted).ravel()
+        return (block.reshape(-1, step, x.size) @ weighted).ravel()
 
     for start in range(0, padded.size, span):
         chunk = padded[start : start + span]
-        block = kernel(chunk, buffer[: chunk.size])
+        block = buffer[: chunk.size]
+        if kept is None:
+            _plane_waves(chunk, x, hbar, block)
+            if fresh is not None:
+                fresh[start : start + span] = block[:, half:]
+        else:
+            block[:, half:] = kept[start : start + span]
+            _mirror(block)
+        if divisor is not None:
+            block /= divisor
         plus[start : start + span] = stacked(block)
         if conjugated[start : start + span].any():
             np.conjugate(block, out=block)
             minus[start : start + span] = stacked(block)
+    if fresh is not None:
+        fresh.flags.writeable = False
+        _memo[key] = fresh
     return np.where(negative, minus[inverse], plus[inverse])
 
 
@@ -131,17 +178,25 @@ def _plane_waves(rows: np.ndarray, x: np.ndarray, hbar: float, out: np.ndarray) 
 
     ``cos`` and ``sin`` are taken on the negated non-negative half of x
     only, straight into the real and imaginary parts, and the other half is
-    their complex conjugate, mirrored. Mapped Gauss-Legendre nodes on [-a, a]
-    satisfy x[::-1] == -x exactly, ``cos`` is exactly even, ``sin`` exactly
-    odd, and numpy's complex exp(0 - i theta) is bitwise (cos theta, -sin
-    theta), so the kernel equals the one-shot ``np.exp`` byte for byte. The
-    phase is scaled by 1 / hbar, as the complex quotient by hbar scales it.
+    their complex conjugate, mirrored (``_mirror``). Mapped Gauss-Legendre
+    nodes on [-a, a] satisfy x[::-1] == -x exactly, ``cos`` is exactly even,
+    ``sin`` exactly odd, and numpy's complex exp(0 - i theta) is bitwise
+    (cos theta, -sin theta), so the kernel equals the one-shot ``np.exp``
+    byte for byte. The phase is scaled by 1 / hbar, as the complex quotient
+    by hbar scales it.
     """
     half = x.size // 2
     theta = np.outer(rows, -x[half:])
     theta *= 1.0 / hbar
     np.cos(theta, out=out.real[:, half:])
     np.sin(theta, out=out.imag[:, half:])
+    return _mirror(out)
+
+
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """Fill the left half of kernel rows with the conjugate of their right
+    half, column for mirrored column, and return them."""
+    half = out.shape[1] // 2
     np.conjugate(out[:, : -half - 1 : -1], out=out[:, :half])
     return out
 
@@ -157,8 +212,11 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     stack of products small enough to stay on the calling thread
     (``_in_row_blocks``), so memory stays bounded for any number of momenta.
     One row is built per distinct |p| and serves both signs, and every value
-    equals the one-shot product's. A scalar p gives a complex scalar, an
-    array p an array of the same shape; a non-finite p raises ``ValueError``.
+    equals the one-shot product's. The rows of the last transform, up to
+    ``_MEMO_BYTES``, are kept for the next one on the same magnitudes, nodes
+    and hbar, as the far-field ladder's rungs are: only the weights differ.
+    A scalar p gives a complex scalar, an array p an array of the same
+    shape; a non-finite p raises ``ValueError``.
     """
     a = spec.half_width
     p_arr = np.asarray(p, dtype=float)
@@ -166,12 +224,8 @@ def _box_transform(spec: WellSpec, f, p, f_radians: float):
     p_max = float(np.max(np.abs(p_arr), initial=0.0))
     radians = a * p_max / spec.hbar + f_radians
     x, w = QuadratureSettings(bandwidth_order(radians)).nodes(-a, a)
-    weighted = w * f(x)
-
-    def kernel(rows, out):
-        return _plane_waves(rows, x, spec.hbar, out)
-
-    values = _in_row_blocks(p_arr.ravel(), kernel, weighted) / np.sqrt(2.0 * np.pi * spec.hbar)
+    values = _in_row_blocks(p_arr.ravel(), x, spec.hbar, w * f(x))
+    values /= np.sqrt(2.0 * np.pi * spec.hbar)
     if p_arr.ndim == 0:
         return complex(values[0])
     return values.reshape(p_arr.shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .momentum_continuous import _in_row_blocks, _plane_waves, analytic_density
+from .momentum_continuous import _in_row_blocks, analytic_density
 from .quadrature import QuadratureSettings, _index, _positive, bandwidth_order
 from .well import WellSpec
 
@@ -102,12 +102,13 @@ def expand(
     is sized to the ladder's top momentum, and the state's norm over the
     same nodes must be 1 within 1e-6 — a wrong norm, a NaN, or a state too
     oscillatory for those nodes, would silently corrupt every weight, so it
-    is rejected instead. The ladder x nodes kernel is built from cos and sin
-    on the non-negative half of the nodes (``_plane_waves``) and applied in
-    row blocks of small products by the transforms' one rule
-    (``_in_row_blocks``), so memory stays bounded for any k_max: one row per
-    distinct |p| serves both signs, and the coefficients equal the one-shot
-    product's.
+    is rejected instead. The ladder x nodes kernel, divided by sqrt(2a), is
+    built from cos and sin on the non-negative half of the nodes
+    (``_plane_waves``) and applied in row blocks of small products by the
+    transforms' one rule (``_in_row_blocks``), so memory stays bounded for
+    any k_max: one row per distinct |p| serves both signs, a kernel kept
+    from the last transform on the same magnitudes, nodes and hbar is
+    reused, and the coefficients equal the one-shot product's.
     """
     a = spec.half_width
     ks, momenta = allowed_momenta(spec, phase, k_max)
@@ -117,13 +118,7 @@ def expand(
     norm = float(np.real(np.conj(values) * values) @ w)
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm over the box is {norm:.8f}, expected 1 within 1e-6")
-
-    def kernel(rows, out):
-        block = _plane_waves(rows, x, spec.hbar, out)
-        block /= np.sqrt(2.0 * a)
-        return block
-
-    coefficients = _in_row_blocks(momenta, kernel, w * values)
+    coefficients = _in_row_blocks(momenta, x, spec.hbar, w * values, np.sqrt(2.0 * a))
     return DiscreteMomentumSpectrum(
         phase=phase,
         indices=ks,

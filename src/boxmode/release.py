@@ -129,16 +129,19 @@ def evolve_free(
     psi /= np.sqrt(np.sum(np.square(psi.real)) * dx)
 
     # One transform of the t = 0 state gives its energy and starts the
-    # evolution. The energies' momenta take the snapshot's step x[1] - x[0]
-    # and the phase's take length / samples, which can differ in the last bit.
-    step = float(x[1] - x[0])
+    # evolution; one p^2 serves both energies. The energies' momenta take the
+    # snapshot's step x[1] - x[0] and the phase's take length / samples, which
+    # can differ in the last bit.
+    p_squared = np.fft.rfftfreq(samples, d=float(x[1] - x[0]))
+    p_squared *= 2.0 * np.pi * spec.hbar
+    p_squared *= p_squared
     spectrum = np.fft.fft(psi)
-    initial = _dft_energy(spectrum, step, spec)
+    initial = _dft_energy(spectrum, p_squared, spec.mass)
     final = initial
     if t != 0:
         _free_phase(spectrum, spec, t, dx)
         np.fft.ifft(spectrum, out=psi)
-        final = _dft_energy(np.fft.fft(psi, out=spectrum), step, spec)
+        final = _dft_energy(np.fft.fft(psi, out=spectrum), p_squared, spec.mass)
 
     snapshot = EvolutionSnapshot(t=float(t), x=x, psi=psi, _energies=(initial, final))
     limit = EDGE_DENSITY_LIMIT / spec.half_width
@@ -193,15 +196,17 @@ def farfield_map(spec: WellSpec, n: int, t: float, p):
     return np.abs(_box_transform(spec, chirped, p, radians)) ** 2
 
 
-def _dft_energy(spectrum: np.ndarray, dx: float, spec: WellSpec) -> float:
+def _dft_energy(spectrum: np.ndarray, p_squared: np.ndarray, mass: float) -> float:
     """sum |F_k|^2 p_k^2 / (2 mass sum |F_k|^2) over the discrete Fourier
-    coefficients F of a grid of step dx, with p_k = 2 pi hbar fftfreq_k. Free
-    flight keeps it to a few 1e-16; weight past the band biases it slightly high."""
+    coefficients F of a grid, with p_k = 2 pi hbar fftfreq_k for its step.
+    ``p_squared`` holds p_k^2 on frequencies 0..N/2 only: fftfreq is
+    antisymmetric, so the square at N - k is the one at k bit for bit, and
+    it is applied mirrored to the rest. Free flight keeps the energy to a
+    few 1e-16; weight past the band biases it slightly high."""
+    half = spectrum.size // 2
     weights = np.abs(spectrum)
     weights *= weights
     weights /= weights.sum()
-    p = np.fft.fftfreq(spectrum.size, d=dx)
-    p *= 2.0 * np.pi * spec.hbar
-    p *= p
-    weights *= p
-    return float(weights.sum() / (2.0 * spec.mass))
+    weights[: half + 1] *= p_squared
+    weights[half + 1 :] *= p_squared[half - 1 : 0 : -1]
+    return float(weights.sum() / (2.0 * mass))

@@ -53,6 +53,7 @@ from boxmode.landau import (
     landau_gauge,
     ridge_residual,
     ring_residual,
+    symmetric_gauge,
 )
 
 WELL = WellSpec()
@@ -271,12 +272,10 @@ RANGE_RULES = [
                 lambda spec: commutator_check(
                     spec, landau_gauge(spec.B), gaussian_test_state(spec)
                 ),
-                "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)",
+                "commutator scale hbar * |charge| * B / c * max|psi|",
             ),
         )
         for B, scale in ((1e-300, "0"), (1e300, "inf"))
-        # At 1e300 the commutator's products warn of overflow before it raises.
-        if not (label == "commutator" and B == 1e300)
     ),
     (
         "subnormal ridge residual scale",
@@ -294,6 +293,23 @@ RANGE_RULES = [
 def test_inputs_leaving_the_float_range_raise_naming_them(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("B, scale", [(1e-300, "0"), (1e300, "inf")])
+@pytest.mark.parametrize(
+    "gauge",
+    [landau_gauge, symmetric_gauge, lambda B: landau_gauge(0.0)],
+    ids=["landau", "symmetric", "zero-field"],
+)
+def test_commutator_scale_raises_before_any_product(B, scale, gauge):
+    """The spec's B sizes the check, the zero-field gauge's too, so no
+    product runs: numpy raising on every floating-point event stays silent."""
+    spec = LandauSpec(B=B)
+    state = gaussian_test_state(spec)
+    text = f"B={B} puts the commutator scale hbar * |charge| * B / c * max|psi| = {scale} "
+    with np.errstate(all="raise"), pytest.raises(ResolutionError, match=re.escape(text)):
+        commutator_check(spec, gauge(B), state)
 
 
 @pytest.mark.filterwarnings("error")

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from boxmode import (
     Eigenfunction,
+    ExtensionPhase,
     MomentumGrid,
     QuadratureSettings,
     WellSpec,
     amplitude_transform,
     analytic_density,
     default_grid,
+    expand,
     farfield_map,
     momentum_continuous,
     spectrum,
@@ -151,7 +153,8 @@ def test_grid_is_linspace_negative_half_mirrored(count):
 
 
 def spy_on_plane_waves(monkeypatch):
-    """Patch ``_plane_waves`` to record the rows it builds; returns the list."""
+    """Patch ``_plane_waves`` to record the rows it builds, starting from an
+    empty kernel memo; returns the list."""
     asked = []
 
     def counting(rows, x, hbar, out):
@@ -159,6 +162,7 @@ def spy_on_plane_waves(monkeypatch):
         return _plane_waves(rows, x, hbar, out)
 
     monkeypatch.setattr(momentum_continuous, "_plane_waves", counting)
+    monkeypatch.setattr(momentum_continuous, "_memo", {})
     return asked
 
 
@@ -447,6 +451,111 @@ def test_transform_rejects_non_finite_momenta(spec, p):
 def test_farfield_rejects_non_finite_momenta(spec):
     with pytest.raises(ValueError, match="momentum p must be finite"):
         farfield_map(spec, 1, 50.0, np.nan)
+
+
+def from_empty_memo(call):
+    """call()'s result from an empty kernel memo; the memo is restored after."""
+    kept = dict(momentum_continuous._memo)
+    momentum_continuous._memo.clear()
+    try:
+        return call()
+    finally:
+        momentum_continuous._memo.clear()
+        momentum_continuous._memo.update(kept)
+
+
+def leaf_probes(spec):
+    """``release farfield --n 1``'s 2,001 probes."""
+    return MomentumGrid(p_max=6.0 * spec.spike_momentum(1), count=2001).points
+
+
+def test_farfield_ladder_builds_its_kernel_once(spec, monkeypatch):
+    """The 1/t^2 ladder's three rungs share probes, nodes and hbar: only the
+    first builds kernel rows (1,005 in 9 blocks), and every rung keeps the
+    bits it has from an empty memo. The kept table is the rows' right halves,
+    1.96 MiB, within the bound."""
+    p = leaf_probes(spec)
+    ladder = (50.0, 100.0, 200.0)
+    expected = [from_empty_memo(lambda t=t: farfield_map(spec, 1, t, p)) for t in ladder]
+    asked = spy_on_plane_waves(monkeypatch)
+    built = []
+    for t, reference in zip(ladder, expected):
+        assert farfield_map(spec, 1, t, p).tobytes() == reference.tobytes()
+        built.append(len(asked))
+    assert built == [9, 9, 9]
+    assert np.concatenate(asked).size == 1005
+    (table,) = momentum_continuous._memo.values()
+    assert table.shape == (1005, 128)
+    assert table.nbytes == 2_058_240 <= momentum_continuous._MEMO_BYTES
+
+
+def _mutated(spec, p):
+    p[7] += 0.25
+    return farfield_map(spec, 1, 50.0, p)
+
+
+# Second calls after a far field on the leaf's probes at t = 50 that must not
+# take its kernel: the same array changed in place; another hbar; another half
+# width; and t = 1e-3, whose chirp raises the rule to 555 nodes.
+STALE_CASES = {
+    "probes-mutated-in-place": _mutated,
+    "other-hbar": lambda spec, p: farfield_map(WellSpec(hbar=1.3), 1, 50.0, p),
+    "other-half-width": lambda spec, p: farfield_map(WellSpec(half_width=1.2), 1, 50.0, p),
+    "other-node-order": lambda spec, p: farfield_map(spec, 1, 1e-3, p),
+}
+
+
+@pytest.mark.parametrize("case", STALE_CASES.values(), ids=STALE_CASES.keys())
+def test_memo_never_serves_a_stale_kernel(spec, monkeypatch, case):
+    p = leaf_probes(spec)
+    expected = from_empty_memo(lambda: case(spec, p.copy()))
+    asked = spy_on_plane_waves(monkeypatch)
+    farfield_map(spec, 1, 50.0, p)
+    first = len(asked)
+    assert case(spec, p).tobytes() == expected.tobytes()
+    assert len(asked) > first
+
+
+@pytest.mark.parametrize("expand_first", [True, False], ids=["expand-first", "transform-first"])
+def test_expand_and_amplitude_transform_share_undivided_kernels(spec, monkeypatch, expand_first):
+    """The memo keeps the kernel before expand divides it by sqrt(2a): on one
+    ladder and the same 256 nodes the second call builds no row, and neither
+    result moves a bit."""
+    phase, k_max = ExtensionPhase(0.0), 60
+    momenta = phase.momentum(spec, np.arange(-k_max, k_max + 1))
+    state = Eigenfunction(spec, 1)
+    calls = [
+        lambda: expand(spec, state, phase, k_max).coefficients,
+        lambda: amplitude_transform(spec, 1, momenta),
+    ]
+    if not expand_first:
+        calls.reverse()
+    expected = [from_empty_memo(call) for call in calls]
+    asked = spy_on_plane_waves(monkeypatch)
+    assert calls[0]().tobytes() == expected[0].tobytes()
+    first = len(asked)
+    assert calls[1]().tobytes() == expected[1].tobytes()
+    assert len(asked) == first > 0
+
+
+def test_kept_table_is_read_only(spec, monkeypatch):
+    spy_on_plane_waves(monkeypatch)
+    farfield_map(spec, 1, 50.0, leaf_probes(spec))
+    (table,) = momentum_continuous._memo.values()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("count", [4001, 20001])
+def test_tables_past_the_bound_are_not_kept(spec, monkeypatch, count):
+    """A default 4,001-point spectrum's table (3.93 MiB) and a 20,001-probe
+    one pass the bound: the far field's kept table is dropped and none is kept."""
+    spy_on_plane_waves(monkeypatch)
+    farfield_map(spec, 1, 50.0, leaf_probes(spec))
+    assert momentum_continuous._memo
+    spectrum(spec, 1, MomentumGrid(default_grid(spec, 1).p_max, count))
+    assert not momentum_continuous._memo
 
 
 def test_transform_memory_does_not_grow_with_probe_count(spec):

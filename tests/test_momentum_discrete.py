@@ -14,7 +14,7 @@ from boxmode import (
     eigenstate_spectrum,
     expand,
     matched_phase,
-    momentum_discrete,
+    momentum_continuous,
 )
 from boxmode.momentum_continuous import _plane_waves
 from boxmode.quadrature import bandwidth_order
@@ -175,7 +175,8 @@ def test_expand_builds_one_kernel_row_per_distinct_magnitude(spec, monkeypatch, 
         asked.append(rows.copy())
         return _plane_waves(rows, x, hbar, out)
 
-    monkeypatch.setattr(momentum_discrete, "_plane_waves", counting)
+    monkeypatch.setattr(momentum_continuous, "_plane_waves", counting)
+    monkeypatch.setattr(momentum_continuous, "_memo", {})
     result = expand(spec, Eigenfunction(spec, 1), phase, 140)
     asked = np.concatenate(asked)
     assert result.momenta.size == 281

@@ -88,7 +88,15 @@ The ops:
   --n 2 --t 50``, the smallest mirrored momentum grids and a far field
   whose amplitudes are imaginary; and ``landau checks --field`` 1e-300 and
   1e300 and ``landau state --gauge symmetric --field 1e-300``, whose residual
-  scale leaves the normal floats.
+  scale leaves the normal floats;
+* last, in a row, ops at the edges of the box transforms' one-entry kernel
+  memo: ``release farfield --n 2`` at t = 50, 100 and 200 (each reusing the
+  last kernel); at t = 50 with mass 3.0 (the same probes, nodes and hbar
+  under another chirp: reused) and under the custom units (another hbar and
+  half width: rebuilt); at t = 1e-3, whose chirp raises the rule to 561
+  nodes, and then at t = 50 again; ``momentum continuous --n 1`` and then
+  ``momentum compare``, whose 4,001-point tables are past the memo's bound;
+  and two ``momentum continuous --count 20001`` in a row.
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -128,6 +136,7 @@ hbar = 1.3
         "digits = 10\n\n[landau]\n"
         "charge = -2.0\nmass = 0.5\nlight_speed = 3.0\nhbar = 1.3\n"
     ),
+    "heavy": "[well]\nmass = 3.0\n",
     "overridden": "digits = 4\nout = elsewhere\n",
     "narrow": "[well]\nhalf_width = 0.7\n",
     "misspelled-key": "[well]\nhbr = 0.7\n",
@@ -249,6 +258,18 @@ SCALE_OPS = (
 
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
+# (config name or None, op), run in this order at the very end.
+MEMO_OPS = (
+    *((None, ("release", "farfield", "--n", "2", "--t", t)) for t in ("50", "100", "200")),
+    ("heavy", ("release", "farfield", "--n", "2", "--t", "50")),
+    ("custom", ("release", "farfield", "--n", "2", "--t", "50")),
+    (None, ("release", "farfield", "--n", "2", "--t", "1e-3")),
+    (None, ("release", "farfield", "--n", "2", "--t", "50")),
+    (None, ("momentum", "continuous", "--n", "1")),
+    (None, ("momentum", "compare")),
+    *((None, ("momentum", "continuous", "--count", "20001")) for _ in range(2)),
+)
+
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
 MALFORMED = ("misspelled-key", "unknown-section", "units-key", "misplaced-key")
@@ -279,7 +300,11 @@ def audit_ops(configs: Path) -> list[list[str]]:
     for name, config_ops, flags in CONFIG_OPS:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]
-    return ops + [list(op) for op in (*FLUX_OPS, *GRID_OPS, *SCALE_OPS)]
+    ops += [list(op) for op in (*FLUX_OPS, *GRID_OPS, *SCALE_OPS)]
+    return ops + [
+        [*op, *(("--config", str(configs / f"{name}.cfg")) if name else ())]
+        for name, op in MEMO_OPS
+    ]
 
 
 def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:

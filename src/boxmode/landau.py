@@ -302,24 +302,19 @@ def symmetric_gauge_state(
     return _normalized_field(x, y, (-1) ** order * values)
 
 
-# np.roll(a, -k, axis) is a at index + k; the edges wrap, so callers drop two cells.
+# Views of a[i - 2], ..., a[i + 2] along ``axis`` at the cells i two or more from its ends.
+def _taps(a: np.ndarray, axis: int) -> list[np.ndarray]:
+    return [a[(slice(None),) * axis + (slice(k, a.shape[axis] - 4 + k),)] for k in range(5)]
+
+
 def _derivative1(a: np.ndarray, step: float, axis: int) -> np.ndarray:
-    return (
-        np.roll(a, 2, axis)
-        - 8.0 * np.roll(a, 1, axis)
-        + 8.0 * np.roll(a, -1, axis)
-        - np.roll(a, -2, axis)
-    ) / (12.0 * step)
+    back2, back1, _, ahead1, ahead2 = _taps(a, axis)
+    return (back2 - 8.0 * back1 + 8.0 * ahead1 - ahead2) / (12.0 * step)
 
 
 def _derivative2(a: np.ndarray, step: float, axis: int) -> np.ndarray:
-    return (
-        -np.roll(a, 2, axis)
-        + 16.0 * np.roll(a, 1, axis)
-        - 30.0 * a
-        + 16.0 * np.roll(a, -1, axis)
-        - np.roll(a, -2, axis)
-    ) / (12.0 * (step * step))
+    back2, back1, here, ahead1, ahead2 = _taps(a, axis)
+    return (-back2 + 16.0 * back1 - 30.0 * here + 16.0 * ahead1 - ahead2) / (12.0 * (step * step))
 
 
 def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -> np.ndarray:
@@ -327,20 +322,21 @@ def apply_hamiltonian(spec: LandauSpec, gauge: GaugeField, state: GridField2D) -
 
     For divergence-free A this expands to
     -(hbar^2/2m) laplacian + (i hbar charge / m c) A . grad
-    + (charge^2 / 2 m c^2) |A|^2. Derivatives are 4th-order stencils; only
-    values at least two cells from every edge are trustworthy.
+    + (charge^2 / 2 m c^2) |A|^2. Derivatives are 4th-order stencils, so the
+    result covers values[2:-2, 2:-2]: shape (x.size - 4, y.size - 4).
     """
-    A_x, A_y = gauge.vector_potential(state.x[:, None], state.y)
+    inner = slice(2, -2)
+    A_x, A_y = gauge.vector_potential(state.x[inner, None], state.y[inner])
     psi = state.values
     hbar, q, m, c = spec.hbar, spec.charge, spec.mass, spec.light_speed
-    laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
-    gradient_term = A_x * _derivative1(psi, state.dx, 0)
+    laplacian = _derivative2(psi[:, inner], state.dx, 0) + _derivative2(psi[inner], state.dy, 1)
+    gradient_term = A_x * _derivative1(psi[:, inner], state.dx, 0)
     if gauge.name != "landau":  # the landau gauge's A_y is identically zero
-        gradient_term += A_y * _derivative1(psi, state.dy, 1)
+        gradient_term += A_y * _derivative1(psi[inner], state.dy, 1)
     return (
         -(hbar * hbar) / (2.0 * m) * laplacian
         + (1j * hbar * q / (m * c)) * gradient_term
-        + (q * q / (2.0 * m * (c * c))) * (A_x**2 + A_y**2) * psi
+        + (q * q / (2.0 * m * (c * c))) * (A_x**2 + A_y**2) * psi[inner, inner]
     )
 
 
@@ -373,15 +369,18 @@ def hamiltonian_residual(
     (hbar * cyclotron frequency) times the interior sup of |psi| — invariant
     under rescaling either the state or the unit system. Raises
     ResolutionError when the grid step exceeds magnetic_length/8, or when
-    that unit is not a normal float (the field B lies far from 1).
+    that unit, or 9/4 of it, is not a normal float (B lies far from 1): on a
+    field that varies over magnetic_length, the first-derivative stencil's
+    weights, (1 + 8 + 8 + 1) / 12, keep pi.pi psi / 2m within 9/4 of it.
     """
     _check_resolution(spec, state, margin=2)
     interior = (slice(2, -2), slice(2, -2))
     # A Python float product overflows to inf without a warning.
     scale = spec.hbar * spec.cyclotron_frequency * float(np.abs(state.values[interior]).max())
     _check_scale(spec, scale, "residual scale hbar * cyclotron_frequency * max|psi|")
-    defect = apply_hamiltonian(spec, gauge, state) - energy * state.values
-    return float(np.abs(defect[interior]).max() / scale)
+    _check_scale(spec, 9 / 4 * scale, "stencil bound 9/4 * hbar * cyclotron_frequency * max|psi|")
+    defect = apply_hamiltonian(spec, gauge, state) - energy * state.values[interior]
+    return float(np.abs(defect).max() / scale)
 
 
 # The 4th-order stencils err by about (k h)^4 (k l)^2 / 180 of the level
@@ -453,8 +452,9 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     commutator vanishes. Only the interior (four cells in) is compared.
     Before any product, the commutator's own size hbar |charge| B / c times
     the interior sup of |psi|, with the spec's B even for a zero-field
-    gauge, must be a normal float, or ResolutionError names B: past it the
-    products overflow or the sup underflows. So must the sup it divides by.
+    gauge, and 9/4 of it (the stencil bound of ``hamiltonian_residual``)
+    must be normal floats, or ResolutionError names B: past them the
+    products may overflow or the sup underflows. So must the sup it divides by.
     """
     _check_resolution(spec, test_state, margin=4)
     hbar, q, c = spec.hbar, spec.charge, spec.light_speed
@@ -463,22 +463,22 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     # A Python float product overflows to inf without a warning.
     unit = hbar * abs(q) * spec.B / c * float(np.abs(psi[interior]).max())
     _check_scale(spec, unit, "commutator scale hbar * |charge| * B / c * max|psi|")
-    A_x, A_y = gauge.vector_potential(test_state.x[:, None], test_state.y)
-    dx, dy = test_state.dx, test_state.dy
+    _check_scale(spec, 9 / 4 * unit, "stencil bound 9/4 * hbar * |charge| * B / c * max|psi|")
+    A_x, A_y = np.broadcast_arrays(*gauge.vector_potential(test_state.x[:, None], test_state.y))
+    dx, dy, inner = test_state.dx, test_state.dy, slice(2, -2)
 
-    def pi_x(f):
-        return -1j * hbar * _derivative1(f, dx, 0) - (q / c) * A_x * f
+    def pi(f, A, axis):  # keeps f's and A's cells two or more from the axis' ends
+        kept = (slice(None),) * axis + (inner,)
+        return -1j * hbar * _derivative1(f, (dx, dy)[axis], axis) - (q / c) * A[kept] * f[kept]
 
-    def pi_y(f):
-        return -1j * hbar * _derivative1(f, dy, 1) - (q / c) * A_y * f
-
-    forward = pi_x(pi_y(psi))
-    backward = pi_y(pi_x(psi))
-    target = 1j * hbar * (q / c) * gauge.B * psi
-    scale = (np.abs(forward[interior]) + np.abs(backward[interior])).max()
+    # On values[2:-2, 2:-2]'s cells: two more in is the interior.
+    forward = pi(pi(psi, A_y, 1), A_x[:, inner], 0)[inner, inner]
+    backward = pi(pi(psi, A_x, 0), A_y[inner], 1)[inner, inner]
+    target = 1j * hbar * (q / c) * gauge.B * psi[interior]
+    scale = (np.abs(forward) + np.abs(backward)).max()
     _check_scale(spec, scale, "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)")
     defect = forward - backward - target
-    return float(np.abs(defect[interior]).max() / scale)
+    return float(np.abs(defect).max() / scale)
 
 
 def gaussian_test_state(spec: LandauSpec) -> GridField2D:

@@ -108,29 +108,24 @@ def _rounded_decimals(a: np.ndarray, digits: int):
     One product p = a * hi lies within 10**(digits + 1) * 2**-52 of the
     exact a * 10**k, so it rounds every cell whose fraction lies farther
     than twice that from 1/2. The rest are scaled again as a double-double
-    (``_scaled_round``). From 15 digits up that margin reaches 1/2, so the
-    product is skipped and the whole chunk takes the double-double.
+    (``_scaled_round``): from 15 digits up, where that margin passes 1/2,
+    every cell.
     """
     proven = (a >= 1e-280) & (a <= 1e280)
     a[~proven] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.int64)
     index = (digits - _SCALE_MIN) - exponent
     hi, lo = _scales(index).T
-    margin = 10.0 ** (digits + 1) * 2.0**-51
-    if margin >= 0.5:
-        unsure = slice(None)
-        mantissa, fraction = _scaled_round(a, np.take(hi, index), np.take(lo, index))
-    else:
-        p = a * np.take(hi, index)
-        whole = np.floor(p)
-        fraction = p - whole
-        mantissa = whole.astype(np.int64)
-        unsure = np.flatnonzero(np.abs(fraction - 0.5) <= margin)
-        if unsure.size:
-            near = index[unsure]
-            mantissa[unsure], fraction[unsure] = _scaled_round(
-                a[unsure], np.take(hi, near), np.take(lo, near)
-            )
+    p = a * np.take(hi, index)
+    whole = np.floor(p)
+    fraction = p - whole
+    mantissa = whole.astype(np.int64)
+    unsure = np.flatnonzero(np.abs(fraction - 0.5) <= 10.0 ** (digits + 1) * 2.0**-51)
+    if unsure.size:
+        near = index[unsure]
+        mantissa[unsure], fraction[unsure] = _scaled_round(
+            a[unsure], np.take(hi, near), np.take(lo, near)
+        )
     proven[unsure] &= np.abs(fraction[unsure] - 0.5) > _TIE_MARGIN
     proven &= (mantissa >= 10**digits) & (mantissa < 10 ** (digits + 1))
     mantissa += fraction > 0.5

@@ -46,6 +46,7 @@ from boxmode.cli import (
     RunConfig,
     cmd_momentum_discrete,
     cmd_well_energies,
+    run,
 )
 from boxmode.landau import (
     commutator_check,
@@ -277,6 +278,37 @@ RANGE_RULES = [
         )
         for B, scale in ((1e-300, "0"), (1e300, "inf"))
     ),
+    # Between 4e205 and the scales' own overflow near 6.5e205 the stencil
+    # products would overflow (the level-1 ridge's Laplacian from 3.7e205,
+    # the commutator's from 4.85e205): 9/4 of each scale raises first.
+    *(
+        (
+            f"{label} stencil bound at B={B}",
+            lambda call=call, spec=LandauSpec(B=B): call(spec),
+            ResolutionError,
+            f"B={B} puts the stencil bound 9/4 * {what} = inf ",
+        )
+        for label, call, what in (
+            (
+                "ridge residual",
+                lambda spec: ridge_residual(spec, 0, spec.probe_momentum),
+                "hbar * cyclotron_frequency * max|psi|",
+            ),
+            (
+                "level-1 ridge residual",
+                lambda spec: ridge_residual(spec, 1, spec.probe_momentum),
+                "hbar * cyclotron_frequency * max|psi|",
+            ),
+            (
+                "commutator",
+                lambda spec: commutator_check(
+                    spec, landau_gauge(spec.B), gaussian_test_state(spec)
+                ),
+                "hbar * |charge| * B / c * max|psi|",
+            ),
+        )
+        for B in (4e205, 5e205, 6e205)
+    ),
     (
         "subnormal ridge residual scale",
         lambda: ridge_residual(LandauSpec(B=1e-210), 0, 0.0),
@@ -310,6 +342,16 @@ def test_commutator_scale_raises_before_any_product(B, scale, gauge):
     text = f"B={B} puts the commutator scale hbar * |charge| * B / c * max|psi| = {scale} "
     with np.errstate(all="raise"), pytest.raises(ResolutionError, match=re.escape(text)):
         commutator_check(spec, gauge(B), state)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("B", ["1e205", "3e205"])
+def test_landau_checks_read_no_wrapped_cell(B, tmp_path):
+    """The stencils compute only the cells two or more from every edge, so no
+    wrapped edge cell overflows where the interior does not: numpy raising
+    on every floating-point event stays silent, and every CHECK passes."""
+    with np.errstate(all="raise"):
+        assert run(["landau", "checks", "--field", B, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.filterwarnings("error")

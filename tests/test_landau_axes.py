@@ -1,8 +1,9 @@
 """Landau fields live on their two 1-D axes: states and operators broadcast
 ``x[:, None]`` against ``y`` and never build coordinate meshes.
 
-The references below are the full-mesh formulas, kept verbatim; every
-broadcast result must carry their exact bits.
+The references below are the full-mesh formulas with wrapping ``np.roll``
+stencils, kept verbatim; every broadcast result must carry their exact bits
+on the cells the sliced stencils reach, two or more from every edge.
 """
 
 import numpy as np
@@ -24,8 +25,6 @@ from boxmode.cli import run
 from boxmode.landau import (
     _axis,
     _centered_axis,
-    _derivative1,
-    _derivative2,
     _power_times_gaussian,
     apply_hamiltonian,
     ridge_residual,
@@ -75,12 +74,34 @@ def mesh_gaussian(spec):
     return normalized(axis, axis, envelope * ripple)
 
 
+# np.roll(a, -k, axis) is a at index + k; the edges wrap, so callers drop two cells.
+def roll_derivative1(a, step, axis):
+    return (
+        np.roll(a, 2, axis)
+        - 8.0 * np.roll(a, 1, axis)
+        + 8.0 * np.roll(a, -1, axis)
+        - np.roll(a, -2, axis)
+    ) / (12.0 * step)
+
+
+def roll_derivative2(a, step, axis):
+    return (
+        -np.roll(a, 2, axis)
+        + 16.0 * np.roll(a, 1, axis)
+        - 30.0 * a
+        + 16.0 * np.roll(a, -1, axis)
+        - np.roll(a, -2, axis)
+    ) / (12.0 * (step * step))
+
+
 def mesh_hamiltonian(spec, gauge, state):
     A_x, A_y = gauge.vector_potential(*np.meshgrid(state.x, state.y, indexing="ij"))
     psi = state.values
     hbar, q, m, c = spec.hbar, spec.charge, spec.mass, spec.light_speed
-    laplacian = _derivative2(psi, state.dx, 0) + _derivative2(psi, state.dy, 1)
-    gradient_term = A_x * _derivative1(psi, state.dx, 0) + A_y * _derivative1(psi, state.dy, 1)
+    laplacian = roll_derivative2(psi, state.dx, 0) + roll_derivative2(psi, state.dy, 1)
+    gradient_term = (
+        A_x * roll_derivative1(psi, state.dx, 0) + A_y * roll_derivative1(psi, state.dy, 1)
+    )
     return (
         -(hbar * hbar) / (2.0 * m) * laplacian
         + (1j * hbar * q / (m * c)) * gradient_term
@@ -101,10 +122,10 @@ def mesh_commutator(spec, gauge, state):
     hbar, q, c = spec.hbar, spec.charge, spec.light_speed
 
     def pi_x(f):
-        return -1j * hbar * _derivative1(f, state.dx, 0) - (q / c) * A_x * f
+        return -1j * hbar * roll_derivative1(f, state.dx, 0) - (q / c) * A_x * f
 
     def pi_y(f):
-        return -1j * hbar * _derivative1(f, state.dy, 1) - (q / c) * A_y * f
+        return -1j * hbar * roll_derivative1(f, state.dy, 1) - (q / c) * A_y * f
 
     psi = state.values
     forward, backward = pi_x(pi_y(psi)), pi_y(pi_x(psi))
@@ -128,6 +149,19 @@ def ring_grid(spec):
     return x, 0.3 + _centered_axis(6.0 * spec.magnetic_length, step)
 
 
+def assert_interior_bits(computed, mesh):
+    """``computed`` holds the bits, signed zeros included, of ``mesh`` two or
+    more cells from every edge, and nothing else."""
+    assert computed.shape == (mesh.shape[0] - 4, mesh.shape[1] - 4)
+    assert computed.tobytes() == mesh[2:-2, 2:-2].tobytes()
+
+
+def assert_hamiltonian_bits(spec, state):
+    for gauge in (landau_gauge(spec.B), symmetric_gauge(spec.B)):
+        expected = mesh_hamiltonian(spec, gauge, state)
+        assert_interior_bits(apply_hamiltonian(spec, gauge, state), expected)
+
+
 def assert_same_bits(state, x, y, values):
     assert state.values.shape == (x.size, y.size)
     assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
@@ -145,10 +179,7 @@ def test_ridge_keeps_the_mesh_bits(spec, sign, n, on_probe):
     state = landau_gauge_state(spec, n, p_x, grid=grid)
     x, y = grid or (state.x, state.y)
     assert_same_bits(state, x, y, mesh_ridge(spec, n, p_x, x, y))
-    gauge = landau_gauge(spec.B)
-    assert apply_hamiltonian(spec, gauge, state).tobytes() == (
-        mesh_hamiltonian(spec, gauge, state).tobytes()
-    )
+    assert_hamiltonian_bits(spec, state)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -159,12 +190,14 @@ def test_ring_keeps_the_mesh_bits(spec, n, angular, on_rectangle):
     state = symmetric_gauge_state(spec, n, angular, grid=grid)
     x, y = grid or (state.x, state.y)
     assert_same_bits(state, x, y, mesh_ring(spec, n, angular, x, y))
+    assert_hamiltonian_bits(spec, state)
 
 
 @pytest.mark.parametrize("spec", [*SPECS, LandauSpec(B=3.7, light_speed=2.0)])
 def test_gaussian_keeps_the_mesh_bits(spec):
     state = gaussian_test_state(spec)
     assert_same_bits(state, state.x, state.x, mesh_gaussian(spec))
+    assert_hamiltonian_bits(spec, state)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -179,7 +212,7 @@ def test_operators_return_the_mesh_floats(spec):
             # Bitwise, signed zeros included: the landau gauge skips the
             # y-gradient term, whose A_y is identically zero.
             expected = mesh_hamiltonian(spec, gauge, state)
-            assert apply_hamiltonian(spec, gauge, state).tobytes() == expected.tobytes()
+            assert_interior_bits(apply_hamiltonian(spec, gauge, state), expected)
             expected = mesh_residual(spec, gauge, state, energy)
             assert hamiltonian_residual(spec, gauge, state, energy) == expected
             assert commutator_check(spec, gauge, state) == mesh_commutator(spec, gauge, state)

@@ -96,7 +96,11 @@ The ops:
   half width: rebuilt); at t = 1e-3, whose chirp raises the rule to 561
   nodes, and then at t = 50 again; ``momentum continuous --n 1`` and then
   ``momentum compare``, whose 4,001-point tables are past the memo's bound;
-  and two ``momentum continuous --count 20001`` in a row.
+  and two ``momentum continuous --count 20001`` in a row;
+* after them, ``landau checks --field`` 1e205 and 3e205, whose stencils
+  read only the cells two or more from every edge and so overflow nowhere,
+  and 5e205, where 9/4 of the residual scale, the stencils' bound, leaves
+  the floats (exit 2).
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -258,7 +262,7 @@ SCALE_OPS = (
 
 WARNING_OPS = (("landau", "state", "--p-x", "20"),)
 
-# (config name or None, op), run in this order at the very end.
+# (config name or None, op), run in this order after the ops above.
 MEMO_OPS = (
     *((None, ("release", "farfield", "--n", "2", "--t", t)) for t in ("50", "100", "200")),
     ("heavy", ("release", "farfield", "--n", "2", "--t", "50")),
@@ -269,6 +273,9 @@ MEMO_OPS = (
     (None, ("momentum", "compare")),
     *((None, ("momentum", "continuous", "--count", "20001")) for _ in range(2)),
 )
+
+# Run last, after MEMO_OPS.
+STENCIL_OPS = tuple(("landau", "checks", "--field", B) for B in ("1e205", "3e205", "5e205"))
 
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
@@ -301,10 +308,11 @@ def audit_ops(configs: Path) -> list[list[str]]:
         config = str(configs / f"{name}.cfg")
         ops += [[*op, "--config", config, *flags] for op in config_ops]
     ops += [list(op) for op in (*FLUX_OPS, *GRID_OPS, *SCALE_OPS)]
-    return ops + [
+    ops += [
         [*op, *(("--config", str(configs / f"{name}.cfg")) if name else ())]
         for name, op in MEMO_OPS
     ]
+    return ops + [list(op) for op in STENCIL_OPS]
 
 
 def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:

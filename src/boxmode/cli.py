@@ -26,6 +26,7 @@ import numpy as np
 from .landau import (
     RESIDUAL_LIMIT,
     LandauSpec,
+    _ridge_grid,
     commutator_check,
     degeneracy,
     gaussian_test_state,
@@ -340,10 +341,7 @@ def cmd_landau_checks(args, spec: LandauSpec, rc: RunConfig):
     checks = [CheckResult(name, residual, RESIDUAL_LIMIT) for name, residual in residuals.items()]
 
     # The level-0 probe's rectangle again at half its step.
-    h = spec.magnetic_length / 16.0
-    x_fine = np.linspace(0.0, 64.0 * h, 65)
-    y_fine = spec.guiding_line(p_probe) + h * np.arange(-128, 129)
-    fine = landau_gauge_state(spec, 0, p_probe, grid=(x_fine, y_fine))
+    fine = landau_gauge_state(spec, 0, p_probe, grid=_ridge_grid(spec, 0, p_probe, split=2))
     r_fine = hamiltonian_residual(spec, gauge_l, fine, level_energy(spec, 0))
     ratio = checks[0].residual / r_fine if r_fine > 0 else np.inf
     checks.append(CheckResult("refinement-drop-at-least-4x", ratio, (4.0, np.inf)))

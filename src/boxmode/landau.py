@@ -10,6 +10,7 @@ level.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -360,6 +361,17 @@ def _check_scale(spec: LandauSpec, scale: float, what: str):
         )
 
 
+@contextmanager
+def _float_range(spec: LandauSpec):
+    """Raise ResolutionError naming B where a product inside leaves the float range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as error:
+        text = f"B={spec.B} takes a stencil product outside the float range: {error}"
+        raise ResolutionError(text) from None
+
+
 def hamiltonian_residual(
     spec: LandauSpec, gauge: GaugeField, state: GridField2D, energy: float
 ) -> float:
@@ -367,20 +379,18 @@ def hamiltonian_residual(
 
     The residual is max |(H - E) psi| over the grid interior, in units of
     (hbar * cyclotron frequency) times the interior sup of |psi| — invariant
-    under rescaling either the state or the unit system. Raises
-    ResolutionError when the grid step exceeds magnetic_length/8, or when
-    that unit, or 9/4 of it, is not a normal float (B lies far from 1): on a
-    field that varies over magnetic_length, the first-derivative stencil's
-    weights, (1 + 8 + 8 + 1) / 12, keep pi.pi psi / 2m within 9/4 of it.
+    under rescaling either the state or the unit system. ResolutionError
+    names a grid step past magnetic_length/8, and names B when that unit is
+    not a normal float or where a product leaves the float range.
     """
     _check_resolution(spec, state, margin=2)
     interior = (slice(2, -2), slice(2, -2))
     # A Python float product overflows to inf without a warning.
     scale = spec.hbar * spec.cyclotron_frequency * float(np.abs(state.values[interior]).max())
     _check_scale(spec, scale, "residual scale hbar * cyclotron_frequency * max|psi|")
-    _check_scale(spec, 9 / 4 * scale, "stencil bound 9/4 * hbar * cyclotron_frequency * max|psi|")
-    defect = apply_hamiltonian(spec, gauge, state) - energy * state.values[interior]
-    return float(np.abs(defect).max() / scale)
+    with _float_range(spec):
+        defect = apply_hamiltonian(spec, gauge, state) - energy * state.values[interior]
+        return float(np.abs(defect).max() / scale)
 
 
 # The 4th-order stencils err by about (k h)^4 (k l)^2 / 180 of the level
@@ -410,18 +420,22 @@ def _probe_step(spec: LandauSpec, waves: int, extent: float, columns: int | None
     return step
 
 
-def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
-    """Eigenvalue residual of the level-n ridge with momentum p_x, probed at a
-    step sized from the level over y past its turning points (at least 8 l
-    each way) and 32 steps of x, along which it is a plane wave."""
-    n = _level(n, "level")
+def _ridge_grid(spec: LandauSpec, n: int, p_x: float, split: int = 1):
+    """The level-n ridge's probe axes at 1/``split`` of its level-sized step: y past
+    its turning points (at least 8 l each way), x over 32 steps of a plane wave."""
     y_guide = spec.guiding_line(p_x)
     half = max(8.0, np.sqrt(2.0 * n + 1.0) + 6.0) * spec.magnetic_length
     along = p_x * spec.magnetic_length / spec.hbar
     waves = max(2 * n + 1, 2.0 * along * along + 1.0)
-    step = _probe_step(spec, waves, half, columns=33)
-    grid = (np.linspace(0.0, 32.0 * step, 33), y_guide + _centered_axis(half, step))
-    state = landau_gauge_state(spec, n, p_x, grid=grid)
+    step = _probe_step(spec, waves, half, columns=33) / split
+    x = np.linspace(0.0, 32.0 * split * step, 32 * split + 1)
+    return x, y_guide + _centered_axis(half, step)
+
+
+def ridge_residual(spec: LandauSpec, n: int, p_x: float) -> float:
+    """Eigenvalue residual of the level-n ridge with momentum p_x on ``_ridge_grid``."""
+    n = _level(n, "level")
+    state = landau_gauge_state(spec, n, p_x, grid=_ridge_grid(spec, n, p_x))
     return hamiltonian_residual(spec, landau_gauge(spec.B), state, level_energy(spec, n))
 
 
@@ -450,11 +464,9 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     value. Normalized by the sup of the two double applications, so the
     figure is dimensionless and meaningful even at B = 0, where the exact
     commutator vanishes. Only the interior (four cells in) is compared.
-    Before any product, the commutator's own size hbar |charge| B / c times
-    the interior sup of |psi|, with the spec's B even for a zero-field
-    gauge, and 9/4 of it (the stencil bound of ``hamiltonian_residual``)
-    must be normal floats, or ResolutionError names B: past them the
-    products may overflow or the sup underflows. So must the sup it divides by.
+    ResolutionError names B where a product leaves the float range, or when
+    the sup or, before any product, hbar |charge| B / c * max|psi| over the
+    interior (the spec's B, even for a zero-field gauge) is not a normal float.
     """
     _check_resolution(spec, test_state, margin=4)
     hbar, q, c = spec.hbar, spec.charge, spec.light_speed
@@ -463,7 +475,6 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
     # A Python float product overflows to inf without a warning.
     unit = hbar * abs(q) * spec.B / c * float(np.abs(psi[interior]).max())
     _check_scale(spec, unit, "commutator scale hbar * |charge| * B / c * max|psi|")
-    _check_scale(spec, 9 / 4 * unit, "stencil bound 9/4 * hbar * |charge| * B / c * max|psi|")
     A_x, A_y = np.broadcast_arrays(*gauge.vector_potential(test_state.x[:, None], test_state.y))
     dx, dy, inner = test_state.dx, test_state.dy, slice(2, -2)
 
@@ -471,14 +482,15 @@ def commutator_check(spec: LandauSpec, gauge: GaugeField, test_state: GridField2
         kept = (slice(None),) * axis + (inner,)
         return -1j * hbar * _derivative1(f, (dx, dy)[axis], axis) - (q / c) * A[kept] * f[kept]
 
-    # On values[2:-2, 2:-2]'s cells: two more in is the interior.
-    forward = pi(pi(psi, A_y, 1), A_x[:, inner], 0)[inner, inner]
-    backward = pi(pi(psi, A_x, 0), A_y[inner], 1)[inner, inner]
-    target = 1j * hbar * (q / c) * gauge.B * psi[interior]
-    scale = (np.abs(forward) + np.abs(backward)).max()
-    _check_scale(spec, scale, "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)")
-    defect = forward - backward - target
-    return float(np.abs(defect).max() / scale)
+    with _float_range(spec):
+        # On values[2:-2, 2:-2]'s cells: two more in is the interior.
+        forward = pi(pi(psi, A_y, 1), A_x[:, inner], 0)[inner, inner]
+        backward = pi(pi(psi, A_x, 0), A_y[inner], 1)[inner, inner]
+        target = 1j * hbar * (q / c) * gauge.B * psi[interior]
+        scale = (np.abs(forward) + np.abs(backward)).max()
+        _check_scale(spec, scale, "commutator scale max(|pi_x pi_y psi| + |pi_y pi_x psi|)")
+        defect = forward - backward - target
+        return float(np.abs(defect).max() / scale)
 
 
 def gaussian_test_state(spec: LandauSpec) -> GridField2D:

@@ -278,36 +278,27 @@ RANGE_RULES = [
         )
         for B, scale in ((1e-300, "0"), (1e300, "inf"))
     ),
-    # Between 4e205 and the scales' own overflow near 6.5e205 the stencil
-    # products would overflow (the level-1 ridge's Laplacian from 3.7e205,
-    # the commutator's from 4.85e205): 9/4 of each scale raises first.
+    # A stencil product that leaves the float range raises where it
+    # overflows, at any level: once a RuntimeWarning and a nan or inf
+    # residual below the scale's own overflow near 6.5e205.
     *(
         (
-            f"{label} stencil bound at B={B}",
+            f"{label} stencil product at B={B}",
             lambda call=call, spec=LandauSpec(B=B): call(spec),
             ResolutionError,
-            f"B={B} puts the stencil bound 9/4 * {what} = inf ",
+            f"B={B} takes a stencil product outside the float range: overflow ",
         )
-        for label, call, what in (
-            (
-                "ridge residual",
-                lambda spec: ridge_residual(spec, 0, spec.probe_momentum),
-                "hbar * cyclotron_frequency * max|psi|",
+        for label, call, B in (
+            *(
+                (
+                    f"level-{n} ridge residual",
+                    lambda spec, n=n: ridge_residual(spec, n, spec.probe_momentum),
+                    B,
+                )
+                for n, B in ((1, 3.9e205), (2, 3e205), (5, 2e205), (100, 1e205))
             ),
-            (
-                "level-1 ridge residual",
-                lambda spec: ridge_residual(spec, 1, spec.probe_momentum),
-                "hbar * cyclotron_frequency * max|psi|",
-            ),
-            (
-                "commutator",
-                lambda spec: commutator_check(
-                    spec, landau_gauge(spec.B), gaussian_test_state(spec)
-                ),
-                "hbar * |charge| * B / c * max|psi|",
-            ),
+            ("ring (2, 3) residual", lambda spec: ring_residual(spec, 2, 3), 3e205),
         )
-        for B in (4e205, 5e205, 6e205)
     ),
     (
         "subnormal ridge residual scale",
@@ -325,6 +316,40 @@ RANGE_RULES = [
 def test_inputs_leaving_the_float_range_raise_naming_them(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+STENCIL_PROBES = {
+    "level-0 ridge": lambda spec: ridge_residual(spec, 0, spec.probe_momentum),
+    "level-1 ridge": lambda spec: ridge_residual(spec, 1, spec.probe_momentum),
+    "commutator": lambda spec: commutator_check(
+        spec, landau_gauge(spec.B), gaussian_test_state(spec)
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "probe, B, serves",
+    [
+        ("level-0 ridge", 4e205, True),
+        ("level-0 ridge", 5e205, True),
+        ("level-0 ridge", 6e205, False),
+        *(("level-1 ridge", B, False) for B in (4e205, 5e205, 6e205)),
+        ("commutator", 4e205, True),
+        *(("commutator", B, False) for B in (5e205, 6e205)),
+    ],
+)
+def test_stencil_probes_serve_or_raise_naming_b(probe, B, serves):
+    """Below the scales' own overflow a probe either returns its B = 1
+    residual, to 1e-8 relative, or raises where a stencil product overflows,
+    naming B; it never warns."""
+    call = STENCIL_PROBES[probe]
+    if serves:
+        assert call(LandauSpec(B=B)) == pytest.approx(call(LANDAU), rel=1e-8)
+    else:
+        text = f"B={B} takes a stencil product outside the float range: "
+        with pytest.raises(ResolutionError, match=re.escape(text)):
+            call(LandauSpec(B=B))
 
 
 @pytest.mark.filterwarnings("error")

@@ -99,8 +99,11 @@ The ops:
   and two ``momentum continuous --count 20001`` in a row;
 * after them, ``landau checks --field`` 1e205 and 3e205, whose stencils
   read only the cells two or more from every edge and so overflow nowhere,
-  and 5e205, where 9/4 of the residual scale, the stencils' bound, leaves
-  the floats (exit 2).
+  and 5e205, where a stencil product leaves the floats (exit 2);
+* last, ``landau checks --field 3.6e205``, served with no stencil product
+  leaving the floats, and ``landau state`` at ``--level 5 --field 2e205``
+  and ``--level 1 --field 3.9e205``, whose ridge probes overflow in a
+  stencil product (exit 2).
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -275,7 +278,11 @@ MEMO_OPS = (
 )
 
 # Run last, after MEMO_OPS.
-STENCIL_OPS = tuple(("landau", "checks", "--field", B) for B in ("1e205", "3e205", "5e205"))
+STENCIL_OPS = (
+    *(("landau", "checks", "--field", B) for B in ("1e205", "3e205", "5e205", "3.6e205")),
+    ("landau", "state", "--level", "5", "--field", "2e205"),
+    ("landau", "state", "--level", "1", "--field", "3.9e205"),
+)
 
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 

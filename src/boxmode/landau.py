@@ -181,7 +181,9 @@ class GridField2D:
         return float(np.sum(np.abs(self.values) ** 2) * self.dx * self.dy)
 
 
-def _normalized_field(x, y, values) -> GridField2D:
+def _normalized_field(spec: LandauSpec, x, y, values) -> GridField2D:
+    # A normalized |psi|^2 is about 1 / (dx dy), so the cell area must be a normal float.
+    _check_scale(spec, abs((x[1] - x[0]) * (y[1] - y[0])), "grid's cell area dx * dy")
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0]) * (y[1] - y[0]))
     if norm == 0:
         raise ValueError("field vanishes identically on the grid")
@@ -241,7 +243,7 @@ def landau_gauge_state(
         h_k = profile / np.sqrt(max(2.0 * k, 1.0))
         previous, profile = h_k, 2.0 * xi * h_k - np.sqrt(2.0 * k) * previous
     values = np.exp(1j * p_x * x / spec.hbar)[:, None] * profile
-    return _normalized_field(x, y, values)
+    return _normalized_field(spec, x, y, values)
 
 
 def _ring_extent(spec: LandauSpec, n: int, angular: int) -> float:
@@ -300,7 +302,7 @@ def symmetric_gauge_state(
         previous, values = values, (
             (2 * k + 1 + alpha - 2.0 * r2) * values - np.sqrt(k * (k + alpha)) * previous
         ) / np.sqrt((k + 1) * (k + 1 + alpha))
-    return _normalized_field(x, y, (-1) ** order * values)
+    return _normalized_field(spec, x, y, (-1) ** order * values)
 
 
 # Views of a[i - 2], ..., a[i + 2] along ``axis`` at the cells i two or more from its ends.
@@ -353,8 +355,9 @@ def _check_resolution(spec: LandauSpec, state: GridField2D, margin: int):
 
 
 def _check_scale(spec: LandauSpec, scale: float, what: str):
-    """Raise ResolutionError naming B when ``scale``, a residual's divisor, is
-    0, subnormal or not finite, as a field far from 1 makes it."""
+    """Raise ResolutionError naming B when ``scale``, a residual's divisor or
+    a grid's cell area, is 0, subnormal or not finite, as a field far from 1
+    makes it."""
     if not np.finfo(float).tiny <= scale < np.inf:
         raise ResolutionError(
             f"B={spec.B} puts the {what} = {scale:.6g} outside the normal float range"
@@ -500,7 +503,7 @@ def gaussian_test_state(spec: LandauSpec) -> GridField2D:
     X, Y = axis[:, None], axis
     envelope = np.exp(-(X**2 + 1.3 * Y**2 + 0.4 * X * Y) / (5.0 * length**2))
     ripple = np.exp(0.3j * (X + 0.7 * Y) / length)
-    return _normalized_field(axis, axis, envelope * ripple)
+    return _normalized_field(spec, axis, axis, envelope * ripple)
 
 
 class DegeneracyReport(NamedTuple):

@@ -55,7 +55,7 @@ class EvolutionSnapshot:
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return float((self.x[-1] - self.x[0]) / (self.x.size - 1))
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -129,17 +129,15 @@ def evolve_free(
     psi /= np.sqrt(np.sum(np.square(psi.real)) * dx)
 
     # One transform of the t = 0 state gives its energy and starts the
-    # evolution; one p^2 serves both energies. The energies' momenta take the
-    # snapshot's step x[1] - x[0] and the phase's take length / samples, which
-    # can differ in the last bit.
-    p_squared = np.fft.rfftfreq(samples, d=float(x[1] - x[0]))
+    # evolution; one p^2 serves the phase and both energies.
+    p_squared = np.fft.rfftfreq(samples, d=dx)
     p_squared *= 2.0 * np.pi * spec.hbar
     p_squared *= p_squared
     spectrum = np.fft.fft(psi)
     initial = _dft_energy(spectrum, p_squared, spec.mass)
     final = initial
     if t != 0:
-        _free_phase(spectrum, spec, t, dx)
+        _free_phase(spectrum, p_squared, spec, t)
         np.fft.ifft(spectrum, out=psi)
         final = _dft_energy(np.fft.fft(psi, out=spectrum), p_squared, spec.mass)
 
@@ -153,14 +151,13 @@ def evolve_free(
     return snapshot
 
 
-def _free_phase(spectrum: np.ndarray, spec: WellSpec, t: float, dx: float):
-    """Multiply a DFT spectrum of grid step dx in place by the free-flight
-    phase exp(-i p^2 t / (2 mass hbar)). fftfreq is antisymmetric, so the
-    phase at frequency N - k is the one at k bit for bit: it is computed on
-    frequencies 0..N/2 and applied mirrored to the rest."""
+def _free_phase(spectrum: np.ndarray, p_squared: np.ndarray, spec: WellSpec, t: float):
+    """Multiply a DFT spectrum in place by the free-flight phase
+    exp(-i p^2 t / (2 mass hbar)). ``p_squared`` holds p^2 on frequencies
+    0..N/2 as for ``_dft_energy``; the phase at N - k is the one at k bit
+    for bit, so it is applied mirrored to the rest."""
     half = spectrum.size // 2
-    p = 2.0 * np.pi * spec.hbar * np.fft.rfftfreq(spectrum.size, d=dx)
-    phase = -1j * p**2
+    phase = -1j * p_squared
     phase *= t
     phase /= 2.0 * spec.mass * spec.hbar
     np.exp(phase, out=phase)

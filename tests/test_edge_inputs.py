@@ -59,6 +59,7 @@ from boxmode.landau import (
 
 WELL = WellSpec()
 LANDAU = LandauSpec()
+TINY = LandauSpec(hbar=1e-100, B=1e223, Lx=1e-100, Ly=1e-100)
 PHASE = ExtensionPhase(np.pi)
 RC = RunConfig()
 
@@ -305,6 +306,21 @@ RANGE_RULES = [
         lambda: ridge_residual(LandauSpec(B=1e-210), 0, 0.0),
         ResolutionError,
         "B=1e-210 puts the residual scale hbar * cyclotron_frequency * max|psi| = 3.69829e-316 ",
+    ),
+    # A state's |psi|^2 ~ 1/(dx dy) needs a normal cell area: at magnetic
+    # length 3.1e-162 once an overflow in GridField2D.norm and "field norm is inf".
+    *(
+        (
+            f"{label} cell area at magnetic length 3.1e-162",
+            lambda call=call: call(TINY),
+            ResolutionError,
+            "B=1e+223 puts the grid's cell area dx * dy = 0 ",
+        )
+        for label, call in (
+            ("ridge residual", lambda spec: ridge_residual(spec, 0, spec.probe_momentum)),
+            ("ring residual", lambda spec: ring_residual(spec, 0, 0)),
+            ("gaussian test state", gaussian_test_state),
+        )
     ),
 ]
 

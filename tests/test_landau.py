@@ -166,6 +166,42 @@ def test_ring_states_match_mpmath_laguerre_form(landau, n, angular):
     assert scale.real > 0 and abs(scale.imag) < 1e-12 * abs(scale)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_level_1000_ridge_matches_hermite_past_the_gaussian_underflow(landau):
+    """exp(-xi^2/2) underflows past |xi| = 38.6, where the level-1000 ridge
+    still holds about a third of its mass; the state must not be cut there."""
+    mpmath = pytest.importorskip("mpmath")
+    xi = np.linspace(-60.0, 60.0, 241)
+    state = landau_gauge_state(landau, 1000, 0.0, grid=(np.arange(5.0), xi))
+    with mpmath.workdps(40):
+        reference = np.array(
+            [float(mpmath.hermite(1000, v) * mpmath.exp(-(mpmath.mpf(v) ** 2) / 2)
+                   / mpmath.sqrt(2**1000 * mpmath.factorial(1000))) for v in xi]
+        )
+    deviation, _ = _fitted_deviation(state.values[0], reference)
+    assert deviation < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_ring_700_700_matches_laguerre_past_the_gaussian_underflow(landau):
+    """exp(-|zeta|^2) underflows from radius ~54.6 magnetic lengths, where the
+    (700, 700) ring's closed form is as large as in its bulk; compared from
+    40 to 75 magnetic lengths on a grid that also holds the ring's center."""
+    mpmath = pytest.importorskip("mpmath")
+    x, y = np.arange(0.0, 75.25, 0.5), 0.5 * np.arange(-2.0, 3.0)
+    state = symmetric_gauge_state(landau, 700, 700, grid=(x, y))
+    far = x >= 40.0
+    zeta2 = (x[far, None] ** 2 + y**2) / 4.0
+    radii, index = np.unique(zeta2, return_inverse=True)
+    with mpmath.workdps(40):
+        profile = np.array(
+            [float(mpmath.laguerre(700, 0, 2 * mpmath.mpf(r2)) * mpmath.exp(-mpmath.mpf(r2)))
+             for r2 in radii]
+        )
+    deviation, _ = _fitted_deviation(state.values[far], profile[index].reshape(zeta2.shape))
+    assert deviation < 1e-12
+
+
 def test_grid_field_contracts():
     x = np.linspace(0.0, 1.0, 9)
     y = np.linspace(0.0, 2.0, 17)

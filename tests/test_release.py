@@ -140,7 +140,7 @@ def test_grid_energy_conserved_and_close_to_exact(spec):
     box = suggested_box(spec, 1, 3.0)
     start = evolve_free(spec, 1, 0.0, box=box)
     before, after = evolve_free(spec, 1, 3.0, box=box)._energies
-    assert before == start._energies[1] == two_pass_energy(start.x, start.psi, spec)
+    assert before == start._energies[1] == two_pass_energy(start.psi, spec, box)
     assert after == pytest.approx(before, rel=1e-13)
     exact = spec.energy(1)
     bias = (before - exact) / exact
@@ -222,25 +222,27 @@ def two_pass_state(spec, n, t, box):
     return x, np.fft.ifft(np.fft.fft(psi0) * phase)
 
 
-def two_pass_energy(x, psi, spec):
+def two_pass_energy(psi, spec, box):
+    length, samples = box
     weights = np.abs(np.fft.fft(psi)) ** 2
     weights /= weights.sum()
-    p = 2.0 * np.pi * spec.hbar * np.fft.fftfreq(x.size, d=float(x[1] - x[0]))
+    p = 2.0 * np.pi * spec.hbar * np.fft.fftfreq(samples, d=length / samples)
     return float((weights * p**2).sum() / (2.0 * spec.mass))
 
 
 def two_pass_energies(spec, n, t, box):
-    x, psi = two_pass_state(spec, n, t, box)
+    _, psi = two_pass_state(spec, n, t, box)
     _, psi0 = two_pass_state(spec, n, 0.0, box)
-    return two_pass_energy(x, psi0, spec), two_pass_energy(x, psi, spec)
+    return two_pass_energy(psi0, spec, box), two_pass_energy(psi, spec, box)
 
 
 NARROW = WellSpec(half_width=0.7)
 CUSTOM = WellSpec(half_width=2.5, mass=3.0, hbar=0.7)
 
 # (spec, n, t, box): the suggested boxes of the CLI ops, t < 0, a narrow well
-# whose step x[1] - x[0] is not length / samples, and the smallest grids,
-# where the mirrored half of the phase is one or three entries long.
+# whose coordinate difference x[1] - x[0] is not length / samples, and the
+# smallest grids, where the mirrored half of the phase is one or three
+# entries long.
 ONE_PASS_CASES = [
     (WellSpec(), 1, 0.0, None),
     (WellSpec(), 2, 0.3, None),
@@ -271,17 +273,27 @@ def test_one_pass_keeps_the_two_pass_bits(spec, n, t, box):
     # The check as two evolve_free calls and the two-pass energy read it.
     reference = evolve_free(spec, n, 0.0, box=box)
     initial, final = snapshot._energies
-    expected = two_pass_energy(snapshot.x, snapshot.psi, spec) / two_pass_energy(
-        reference.x, reference.psi, spec
+    expected = two_pass_energy(snapshot.psi, spec, box) / two_pass_energy(
+        reference.psi, spec, box
     )
     assert abs(final / initial - 1.0) == abs(expected - 1.0)
 
 
-def test_narrow_well_steps_differ():
-    # The energies take x[1] - x[0], the phase length / samples; at
-    # half_width 0.7 they differ, so mixing them up would move bits.
-    length, samples = suggested_box(NARROW, 1, 1.0)
-    assert evolve_free(NARROW, 1, 0.0, box=(length, samples)).dx != length / samples
+def test_snapshot_step_is_the_grid_step():
+    # x[1] - x[0] differs from length / samples on all 108 boxes, by up to
+    # 2.1e-11 relative, since both coordinates lie near -length / 2.
+    for half_width in (0.7, 1.1, 1.3, 1.4, 2.1, 2.8, 3.3, 4.3, 5.3):
+        spec = WellSpec(half_width=half_width)
+        for n in (1, 2, 3):
+            for t in (0.0, 0.5, 1.0, 2.0):
+                length, samples = suggested_box(spec, n, t)
+                dx = evolve_free(spec, n, t).dx
+                assert abs(dx - length / samples) <= np.spacing(length / samples)
+
+
+def test_narrow_well_norm_reads_rounding_only():
+    # The coordinate difference x[1] - x[0] as the step would read -4.16e-12.
+    assert abs(evolve_free(NARROW, 1, 1.0).norm() - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("box", [(4.5, 4), (6.0, 8)])
@@ -353,7 +365,7 @@ def test_release_evolve_writes_the_two_pass_report(
     density = np.abs(psi) ** 2
     initial, final = two_pass_energies(spec, n, t, box)
     expected = [
-        CheckResult("norm-conservation", np.sum(density) * (x[1] - x[0]) - 1.0, 1e-9),
+        CheckResult("norm-conservation", np.sum(density) * (box[0] / box[1]) - 1.0, 1e-9),
         CheckResult("energy-conservation", abs(final / initial - 1.0), 1e-9),
         CheckResult("edge-density", max(density[0], density[-1]), 1e-10 / spec.half_width),
     ]

@@ -7,7 +7,10 @@ Each checkout runs every op in one subprocess of its own, through
 ``boxmode.cli.run``, with each op writing into a fresh directory. The audit
 then compares, op by op, the exit code, stdout, stderr and the SHA-256 of
 every CSV written. The checkout's own path is replaced by ``<checkout>`` in
-stdout and stderr, so tracebacks and warnings compare by file and line.
+stdout and stderr, so tracebacks compare by file and line; the line number
+a warning prints after its ``<file>.py:`` is masked, so a line added above a
+warning's source moves nothing. Only the stdout and stderr lines that differ
+are printed.
 
 Both checkouts run once under each of three configurations, set in the
 audit's own subprocesses only: the default; ``OPENBLAS_CORETYPE=Prescott``,
@@ -71,8 +74,8 @@ The ops:
 * ``landau state --p-x 20``, whose guiding line lies outside the default
   rectangle: one warning, from the state's default grid;
 * ``release evolve`` with half width 0.7, whose ``energy-conservation``
-  reference must share the snapshot's box, and whose energies take the step
-  x[1] - x[0] where the phase takes length / samples;
+  reference must share the snapshot's box, and whose step length / samples
+  is not the difference x[1] - x[0] of its first two coordinates;
 * ``release evolve`` at the edges of its one-pass evolution, where one
   transform of the t = 0 state serves the energy reference and the phase
   is computed on frequencies 0..N/2 and mirrored: t = 0 and -0 (no phase),
@@ -103,7 +106,10 @@ The ops:
 * last, ``landau checks --field 3.6e205``, served with no stencil product
   leaving the floats, and ``landau state`` at ``--level 5 --field 2e205``
   and ``--level 1 --field 3.9e205``, whose ridge probes overflow in a
-  stencil product (exit 2).
+  stencil product (exit 2);
+* after them, ``landau checks --field 1e223 --edge-x 1e-100 --edge-y 1e-100``
+  with hbar 1e-100: a magnetic length of 3.1e-162, whose grid's cell area
+  underflows (exit 2 naming B).
 
 Every op takes ``--out out`` last, so file ``out`` values never apply.
 """
@@ -111,10 +117,12 @@ Every op takes ``--out out`` last, so file ``out`` values never apply.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -122,6 +130,9 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# A warning names its source as "<file>.py:<line>:"; the line is masked.
+WARNING_LINE = re.compile(r"(\w+\.py):\d+:")
 
 # Config file name -> text; ``audit_ops`` refers to them by name.
 CONFIGS = {
@@ -146,6 +157,7 @@ hbar = 1.3
     "heavy": "[well]\nmass = 3.0\n",
     "overridden": "digits = 4\nout = elsewhere\n",
     "narrow": "[well]\nhalf_width = 0.7\n",
+    "tiny": "[landau]\nhbar = 1e-100\n",
     "misspelled-key": "[well]\nhbr = 0.7\n",
     "unknown-section": "[wel]\nhbar = 0.7\n",
     "units-key": "units = custom\n[well]\nhbar = 0.7\n",
@@ -284,6 +296,11 @@ STENCIL_OPS = (
     ("landau", "state", "--level", "1", "--field", "3.9e205"),
 )
 
+# (config name, op), run last, after STENCIL_OPS.
+TINY_OPS = (
+    ("tiny", ("landau", "checks", "--field", "1e223", "--edge-x", "1e-100", "--edge-y", "1e-100")),
+)
+
 LANDAU_LEAVES = tuple(("landau", leaf) for leaf in ("state", "degeneracy", "hall", "checks"))
 
 MALFORMED = ("misspelled-key", "unknown-section", "units-key", "misplaced-key")
@@ -319,7 +336,8 @@ def audit_ops(configs: Path) -> list[list[str]]:
         [*op, *(("--config", str(configs / f"{name}.cfg")) if name else ())]
         for name, op in MEMO_OPS
     ]
-    return ops + [list(op) for op in STENCIL_OPS]
+    ops += [list(op) for op in STENCIL_OPS]
+    return ops + [[*op, "--config", str(configs / f"{name}.cfg")] for name, op in TINY_OPS]
 
 
 def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:
@@ -355,12 +373,19 @@ def run_checkout(checkout: Path, ops_file: Path, work: Path) -> list[dict]:
 
 
 def differences(parent: list[dict], change: list[dict]) -> list[str]:
+    """One entry per differing exit code, stream or CSV of an op; a stream's
+    entry lists its differing lines, "- " for the parent and "+ " for the change."""
     found = []
     for old, new in zip(parent, change):
         op = " ".join(old["argv"])
-        for key in ("code", "stdout", "stderr"):
-            if old[key] != new[key]:
-                found.append(f"{op}: {key} differs: {old[key]!r} != {new[key]!r}")
+        if old["code"] != new["code"]:
+            found.append(f"{op}: code differs: {old['code']} != {new['code']}")
+        for key in ("stdout", "stderr"):
+            before, after = (WARNING_LINE.sub(r"\1:<line>:", r[key]) for r in (old, new))
+            if before != after:
+                lines = difflib.ndiff(before.splitlines(), after.splitlines())
+                changed = [line for line in lines if line[:2] in ("- ", "+ ")]
+                found.append("\n    ".join((f"{op}: {key} differs:", *changed)))
         for name in sorted(old["csv"].keys() | new["csv"].keys()):
             if old["csv"].get(name) != new["csv"].get(name):
                 found.append(f"{op}: {name} differs")
